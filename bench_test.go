@@ -112,11 +112,23 @@ func BenchmarkPoolStudySweep(b *testing.B) {
 }
 
 // BenchmarkCacheHit measures serving a memoized scenario from the
-// content-addressed result cache (key hash + lookup + defensive copy)
-// against re-solving it; the cold solve is primed outside the timer.
+// content-addressed result cache (validation + key hash + lookup +
+// defensive copy) against re-solving it; the cold solve is primed
+// outside the timer.
 func BenchmarkCacheHit(b *testing.B) {
+	benchCacheHit(b, jobs.Scenario{Tiers: 2, Cooling: "air", Policy: "LB", Workload: "web", Steps: 4, Grid: 8, Seed: 1})
+}
+
+// BenchmarkCacheHitFuzzy is BenchmarkCacheHit on the shape of the
+// perfbench serve-mix hot set: liquid cooling under the LC_FUZZY
+// controller, whose validation must not build the controller.
+func BenchmarkCacheHitFuzzy(b *testing.B) {
+	benchCacheHit(b, jobs.Scenario{Tiers: 2, Cooling: "liquid", Policy: "LC_FUZZY", Workload: "web", Steps: 10, Grid: 8, Seed: 1})
+}
+
+func benchCacheHit(b *testing.B, sc jobs.Scenario) {
+	b.Helper()
 	cache := jobs.NewCache(0)
-	sc := jobs.Scenario{Tiers: 2, Cooling: "air", Policy: "LB", Workload: "web", Steps: 4, Grid: 8, Seed: 1}
 	if _, _, err := cache.Metrics(context.Background(), sc); err != nil {
 		b.Fatal(err)
 	}

@@ -16,9 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/floorplan"
 	"repro/internal/fluids"
+	"repro/internal/fuzzy"
 	"repro/internal/mat"
 	"repro/internal/policy"
 	"repro/internal/power"
@@ -103,32 +105,76 @@ type Options struct {
 // fuzzy controller to per-cavity flow control ("tune the flow rate of
 // the coolant in each micro-channel").
 func Policies() []string {
-	return []string{"LB", "TDVFS_LB", "LC_FUZZY", "LC_FUZZY_S", "LC_FUZZY_PC", "LC_PID", "LC_TTFLOW"}
+	names := make([]string, len(policyTable))
+	for i, p := range policyTable {
+		names[i] = p.name
+	}
+	return names
+}
+
+// policyEntry is one management strategy: how to build it and, when
+// building it depends on the threshold, how to check a threshold
+// without building it.
+type policyEntry struct {
+	name  string
+	build func(thresholdC float64) (policy.Policy, error)
+	check func(thresholdC float64) error // nil: every threshold runs
+}
+
+// policyTable is the one list of management strategies: Policies lists
+// it, MakePolicy builds from it and CheckPolicy checks against it.
+var policyTable = [...]policyEntry{
+	{name: "LB", build: func(float64) (policy.Policy, error) { return policy.LB{}, nil }},
+	{name: "TDVFS_LB", build: func(float64) (policy.Policy, error) { return policy.NewTDVFSLB(), nil }},
+	{name: "LC_FUZZY", build: func(th float64) (policy.Policy, error) { return policy.NewFuzzy(th) },
+		check: fuzzy.CheckThreshold},
+	{name: "LC_FUZZY_S", build: func(th float64) (policy.Policy, error) { return policy.NewFuzzySugeno(th) },
+		check: fuzzy.CheckThreshold},
+	{name: "LC_FUZZY_PC", build: func(th float64) (policy.Policy, error) { return policy.NewFuzzyPerCavity(th) },
+		check: fuzzy.CheckThreshold},
+	{name: "LC_PID", build: func(float64) (policy.Policy, error) { return policy.NewPID(), nil }},
+	{name: "LC_TTFLOW", build: func(float64) (policy.Policy, error) { return policy.NewTTFlow(), nil }},
+}
+
+// lookupPolicy finds a strategy by name; "" selects LB.
+func lookupPolicy(name string) (*policyEntry, error) {
+	if name == "" {
+		name = "LB"
+	}
+	for i := range policyTable {
+		if policyTable[i].name == name {
+			return &policyTable[i], nil
+		}
+	}
+	return nil, fmt.Errorf("core: unknown policy %q (want one of %v)", name, Policies())
 }
 
 // MakePolicy instantiates a policy by name.
 func MakePolicy(name string, thresholdC float64) (policy.Policy, error) {
+	p, err := lookupPolicy(name)
+	if err != nil {
+		return nil, err
+	}
 	if thresholdC == 0 {
 		thresholdC = 85
 	}
-	switch name {
-	case "LB", "":
-		return policy.LB{}, nil
-	case "TDVFS_LB":
-		return policy.NewTDVFSLB(), nil
-	case "LC_FUZZY":
-		return policy.NewFuzzy(thresholdC)
-	case "LC_FUZZY_S":
-		return policy.NewFuzzySugeno(thresholdC)
-	case "LC_FUZZY_PC":
-		return policy.NewFuzzyPerCavity(thresholdC)
-	case "LC_PID":
-		return policy.NewPID(), nil
-	case "LC_TTFLOW":
-		return policy.NewTTFlow(), nil
-	default:
-		return nil, fmt.Errorf("core: unknown policy %q (want one of %v)", name, Policies())
+	return p.build(thresholdC)
+}
+
+// CheckPolicy reports whether MakePolicy(name, thresholdC) succeeds
+// without instantiating the policy: for the fuzzy family it checks only
+// the threshold-dependent membership functions (fuzzy.CheckThreshold)
+// and builds no rule base or inference engine. It allocates nothing
+// when it accepts, so it can run on every request.
+func CheckPolicy(name string, thresholdC float64) error {
+	p, err := lookupPolicy(name)
+	if err != nil || p.check == nil {
+		return err
 	}
+	if thresholdC == 0 {
+		thresholdC = 85
+	}
+	return p.check(thresholdC)
 }
 
 // System is a configured 3D MPSoC ready to run workloads. A System is
@@ -352,22 +398,49 @@ func (s *System) coolant() fluids.Fluid {
 // off-peak trace). threads should be
 // System.Threads(); steps is the duration in seconds.
 func GenerateTrace(name string, threads, steps int, seed int64) (*workload.Trace, error) {
-	var p workload.Profile
-	switch name {
-	case "web":
-		p = workload.WebServer
-	case "db":
-		p = workload.Database
-	case "mm":
-		p = workload.Multimedia
-	case "peak":
-		p = workload.PeakLoad
-	case "light":
-		p = workload.LightLoad
-	default:
-		return nil, fmt.Errorf("core: unknown workload %q (want web, db, mm, peak, light)", name)
+	p, err := lookupWorkload(name)
+	if err != nil {
+		return nil, err
 	}
 	return p.Generate(threads, steps, seed)
+}
+
+// Workloads lists the trace profile names GenerateTrace accepts.
+func Workloads() []string {
+	names := make([]string, len(workloadTable))
+	for i, w := range workloadTable {
+		names[i] = w.name
+	}
+	return names
+}
+
+// CheckWorkload reports whether GenerateTrace knows the named workload,
+// without generating a trace.
+func CheckWorkload(name string) error {
+	_, err := lookupWorkload(name)
+	return err
+}
+
+// workloadTable is the one list of named trace profiles: GenerateTrace
+// builds from it and CheckWorkload checks against it.
+var workloadTable = [...]struct {
+	name    string
+	profile *workload.Profile
+}{
+	{"web", &workload.WebServer},
+	{"db", &workload.Database},
+	{"mm", &workload.Multimedia},
+	{"peak", &workload.PeakLoad},
+	{"light", &workload.LightLoad},
+}
+
+func lookupWorkload(name string) (*workload.Profile, error) {
+	for _, w := range workloadTable {
+		if w.name == name {
+			return w.profile, nil
+		}
+	}
+	return nil, fmt.Errorf("core: unknown workload %q (want %s)", name, strings.Join(Workloads(), ", "))
 }
 
 // SteadyCoupled iterates the leakage-temperature feedback to a fixed

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/fluids"
@@ -42,6 +43,61 @@ func TestMakePolicy(t *testing.T) {
 		if p == nil {
 			t.Errorf("%s: nil policy", name)
 		}
+	}
+}
+
+// TestCheckPolicyMatchesMakePolicy pins the cheap verdict to the real
+// one: for every policy and an unknown name, on edge thresholds and a
+// 0.5 °C grid up to 130 °C, CheckPolicy accepts exactly the (policy,
+// threshold) pairs MakePolicy builds.
+func TestCheckPolicyMatchesMakePolicy(t *testing.T) {
+	thresholds := []float64{0, 0.5, 30, 54.5, 55, 85, 119.5, 120, -1, math.NaN(), math.Inf(1), math.Inf(-1)}
+	for th := 0.5; th <= 130; th += 0.5 {
+		thresholds = append(thresholds, th)
+	}
+	for _, name := range append(Policies(), "NOPE") {
+		for _, th := range thresholds {
+			_, makeErr := MakePolicy(name, th)
+			checkErr := CheckPolicy(name, th)
+			if (makeErr == nil) != (checkErr == nil) {
+				t.Errorf("%s at %v °C: MakePolicy error %v, CheckPolicy error %v", name, th, makeErr, checkErr)
+			}
+		}
+	}
+	// Anchor the verdicts, so an always-accepting or always-rejecting
+	// pair of functions cannot pass the comparison above.
+	for _, tc := range []struct {
+		name string
+		th   float64
+		ok   bool
+	}{
+		{"LC_FUZZY", 0, true}, // the 85 °C default
+		{"LC_FUZZY", 54.5, false},
+		{"LC_FUZZY", 55, true},
+		{"LC_FUZZY_S", 119.5, true},
+		{"LC_FUZZY_PC", 120, false},
+		{"LC_FUZZY", math.NaN(), false},
+		{"LB", math.NaN(), true},
+		{"NOPE", 85, false},
+	} {
+		if err := CheckPolicy(tc.name, tc.th); (err == nil) != tc.ok {
+			t.Errorf("CheckPolicy(%s, %v) = %v, want ok=%v", tc.name, tc.th, err, tc.ok)
+		}
+	}
+}
+
+// TestCheckWorkloadMatchesGenerateTrace pins the workload-name check to
+// the trace generator it stands in for.
+func TestCheckWorkloadMatchesGenerateTrace(t *testing.T) {
+	for _, name := range append(Workloads(), "nope", "", "WEB") {
+		_, genErr := GenerateTrace(name, 32, 2, 1)
+		checkErr := CheckWorkload(name)
+		if (genErr == nil) != (checkErr == nil) {
+			t.Errorf("%q: GenerateTrace error %v, CheckWorkload error %v", name, genErr, checkErr)
+		}
+	}
+	if len(Workloads()) != 5 || CheckWorkload("light") != nil || CheckWorkload("nope") == nil {
+		t.Errorf("workload table = %v", Workloads())
 	}
 }
 

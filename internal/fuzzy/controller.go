@@ -22,19 +22,11 @@ type Controller struct {
 
 // NewController builds the controller for a given threshold temperature.
 func NewController(thresholdC float64) (*Controller, error) {
-	if thresholdC <= 30 || thresholdC >= 120 {
-		return nil, fmt.Errorf("fuzzy: implausible threshold %v °C", thresholdC)
+	tempTerms, err := temperatureTerms(thresholdC)
+	if err != nil {
+		return nil, err
 	}
-	th := thresholdC
-	temp := &Variable{
-		Name: "temp", Min: 20, Max: th + 25,
-		Terms: []MF{
-			Trap("cold", 20, 20, th-35, th-25),
-			Tri("warm", th-35, th-20, th-8),
-			Tri("hot", th-16, th-8, th),
-			Trap("critical", th-5, th, th+25, th+25),
-		},
-	}
+	temp := &Variable{Name: "temp", Min: 20, Max: thresholdC + 25, Terms: tempTerms[:]}
 	util := &Variable{
 		Name: "util", Min: 0, Max: 1,
 		Terms: []MF{
@@ -85,6 +77,38 @@ func NewController(thresholdC float64) (*Controller, error) {
 		return nil, err
 	}
 	return &Controller{eng: eng, ThresholdC: thresholdC}, nil
+}
+
+// CheckThreshold reports whether NewController accepts thresholdC. It
+// builds only the threshold-dependent temperature terms, not the rule
+// base or the inference engine, and allocates nothing when it accepts,
+// so request validation can afford to call it.
+func CheckThreshold(thresholdC float64) error {
+	_, err := temperatureTerms(thresholdC)
+	return err
+}
+
+// temperatureTerms returns the temperature input's membership functions
+// for a threshold, checked: they are the only part of the controller
+// that depends on the threshold, so the only part that can reject one.
+// A threshold that passes the plausibility bounds can still fail the
+// shoulder ordering: a low one crosses the "cold" shoulders.
+func temperatureTerms(th float64) ([4]MF, error) {
+	if th <= 30 || th >= 120 {
+		return [4]MF{}, fmt.Errorf("fuzzy: implausible threshold %v °C", th)
+	}
+	terms := [4]MF{
+		Trap("cold", 20, 20, th-35, th-25),
+		Tri("warm", th-35, th-20, th-8),
+		Tri("hot", th-16, th-8, th),
+		Trap("critical", th-5, th, th+25, th+25),
+	}
+	for _, t := range terms {
+		if err := t.Validate(); err != nil {
+			return [4]MF{}, fmt.Errorf("fuzzy: threshold %v °C: %w", th, err)
+		}
+	}
+	return terms, nil
 }
 
 // Output is the crisp controller decision.

@@ -4,6 +4,9 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/mat"
 )
 
 // FuzzScenarioKey pins the cache-key contract under arbitrary field
@@ -52,6 +55,55 @@ func FuzzScenarioKey(f *testing.F) {
 			}
 		} else if k1 == k2 {
 			t.Fatalf("distinct scenarios collide on key %s:\n%+v\n%+v", k1, s1.Normalized(), s2.Normalized())
+		}
+	})
+}
+
+// computeAccepts is the compute path's own verdict on a scenario: the
+// bounds the simulator needs plus the constructors Scenario.Run calls
+// for each named field. The trace is generated one step long — only
+// its workload name is under test here.
+func computeAccepts(s Scenario) bool {
+	s = s.Normalized()
+	if (s.Tiers != 2 && s.Tiers != 4) || s.Steps < 1 || s.Grid < 2 || s.FlowQuantLevels < 2 || s.SensorNoiseStdC < 0 {
+		return false
+	}
+	if _, err := ParseCooling(s.Cooling); err != nil {
+		return false
+	}
+	if _, err := core.MakePolicy(s.Policy, s.ThresholdC); err != nil {
+		return false
+	}
+	if _, err := core.GenerateTrace(s.Workload, 32, 1, s.Seed); err != nil {
+		return false
+	}
+	return mat.KnownBackend(s.Solver) && mat.KnownOrdering(s.Ordering)
+}
+
+// FuzzScenarioValidate pins validation to the compute path: Validate
+// builds no policy and no trace, yet must accept exactly the scenarios
+// whose policy, trace and solver construction succeed — a scenario it
+// lets through must not fail to build, and one it rejects must not be
+// runnable.
+func FuzzScenarioValidate(f *testing.F) {
+	f.Add(2, "liquid", "LC_FUZZY", "web", 10, 8, int64(1), 85.0, 8, 0.0, "direct", "auto")
+	f.Add(0, "", "", "", 0, 0, int64(0), 0.0, 0, 0.0, "", "")
+	f.Add(4, "air", "LC_FUZZY_S", "db", 1, 2, int64(7), 54.5, 2, 0.5, "gmres", "nd")
+	f.Add(2, "liquid", "LC_FUZZY_PC", "peak", 3, 8, int64(1), 55.0, 8, 0.0, "", "rcm")
+	f.Add(2, "liquid", "LC_FUZZY", "light", 3, 8, int64(1), 120.0, 8, 0.0, "bicgstab", "")
+	f.Add(2, "air", "LB", "nope", 3, 8, int64(1), -1.0, 8, 0.0, "", "")
+	f.Add(2, "air", "LC_PID", "mm", 3, 8, int64(1), math.NaN(), 8, 0.0, "quantum", "")
+	f.Add(3, "helium", "YOLO", "web", -1, 1, int64(1), 85.0, 1, -1.0, "", "natural")
+	f.Fuzz(func(t *testing.T, tiers int, cooling, policy, workload string, steps, grid int, seed int64,
+		threshold float64, levels int, noise float64, solver, ordering string) {
+		s := Scenario{
+			Tiers: tiers, Cooling: cooling, Policy: policy, Workload: workload,
+			Steps: steps, Grid: grid, Seed: seed, ThresholdC: threshold,
+			FlowQuantLevels: levels, SensorNoiseStdC: noise, Solver: solver, Ordering: ordering,
+		}
+		err := s.Validate()
+		if want := computeAccepts(s); (err == nil) != want {
+			t.Fatalf("Validate() = %v, but the compute path accepts=%v for %+v", err, want, s)
 		}
 	})
 }

@@ -101,7 +101,10 @@ func (s Scenario) Normalized() Scenario {
 	return s
 }
 
-// Validate rejects scenarios the simulator cannot run.
+// Validate rejects scenarios the simulator cannot run. It accepts
+// exactly what the compute path accepts (pinned by
+// FuzzScenarioValidate) through name and bound checks alone: it builds
+// no policy, model or trace, so a cache hit can afford it.
 func (s Scenario) Validate() error {
 	s = s.Normalized()
 	if s.Tiers != 2 && s.Tiers != 4 {
@@ -110,7 +113,10 @@ func (s Scenario) Validate() error {
 	if _, err := ParseCooling(s.Cooling); err != nil {
 		return err
 	}
-	if _, err := core.MakePolicy(s.Policy, s.ThresholdC); err != nil {
+	if err := core.CheckPolicy(s.Policy, s.ThresholdC); err != nil {
+		return err
+	}
+	if err := core.CheckWorkload(s.Workload); err != nil {
 		return err
 	}
 	if s.Steps < 1 {

@@ -64,21 +64,31 @@ func TestScenarioKeyEncodingStable(t *testing.T) {
 }
 
 // TestCacheHitAllocs guards the pure-hit fast path: one allocation for
-// the hex key, one for the defensive metrics clone.
+// the hex key, one for the defensive metrics clone. A liquid LC_FUZZY
+// hit (the perfbench serve-mix hot-set shape) allocates no more than
+// an LB hit: validation checks the fuzzy threshold without building
+// the controller.
 func TestCacheHitAllocs(t *testing.T) {
-	cache := NewCache(0)
-	sc := quickScenario()
-	if _, _, err := cache.Metrics(context.Background(), sc); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		m, hit, err := cache.Metrics(context.Background(), sc)
-		if err != nil || !hit || m == nil {
-			t.Fatal("expected a cache hit")
+	hitAllocs := func(sc Scenario) float64 {
+		cache := NewCache(0)
+		if _, _, err := cache.Metrics(context.Background(), sc); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if avg > 2 {
-		t.Fatalf("cache hit allocates %.1f times, want <= 2", avg)
+		return testing.AllocsPerRun(200, func() {
+			m, hit, err := cache.Metrics(context.Background(), sc)
+			if err != nil || !hit || m == nil {
+				t.Fatal("expected a cache hit")
+			}
+		})
+	}
+	lb := hitAllocs(quickScenario())
+	if lb > 2 {
+		t.Fatalf("cache hit allocates %.1f times, want <= 2", lb)
+	}
+	fuzzy := quickScenario()
+	fuzzy.Cooling, fuzzy.Policy = "liquid", "LC_FUZZY"
+	if fz := hitAllocs(fuzzy); fz > lb {
+		t.Fatalf("LC_FUZZY cache hit allocates %.1f times, LB %.1f", fz, lb)
 	}
 }
 

@@ -268,12 +268,12 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
+// writeJSON writes v as compact JSON: one line plus a newline. Pipe a
+// response through `jq .` to read it.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -226,6 +227,7 @@ func TestSimulateRejectsBadRequests(t *testing.T) {
 		"unknown field":  `{"tiresome": 1}`,
 		"bad tiers":      `{"tiers": 3}`,
 		"bad cooling":    `{"cooling": "helium"}`,
+		"bad workload":   `{"workload": "nope"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
@@ -234,6 +236,46 @@ func TestSimulateRejectsBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
+		}
+	}
+	assertNothingComputed(t, ts)
+}
+
+// assertNothingComputed checks that rejected requests never reached the
+// compute path: no cache lookup, no scenario, no sweep.
+func assertNothingComputed(t *testing.T, ts *httptest.Server) {
+	t.Helper()
+	st := getStats(t, ts)
+	if st.CacheStats.Misses != 0 || st.ScenariosComputed != 0 || st.Sweeps.Sweeps != 0 {
+		t.Fatalf("rejected requests reached the compute path: cache misses %d, computed %d, sweeps %d",
+			st.CacheStats.Misses, st.ScenariosComputed, st.Sweeps.Sweeps)
+	}
+}
+
+// TestResponsesAreCompactJSON pins the wire format: every JSON body is
+// one line plus a newline, success and error alike.
+func TestResponsesAreCompactJSON(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, req := range []struct{ method, path, body string }{
+		{http.MethodGet, "/healthz", ""},
+		{http.MethodPost, "/v1/simulate", `{"steps":2,"grid":8}`},
+		{http.MethodPost, "/v1/simulate", `{"tiers":3}`},
+	} {
+		r, err := http.NewRequest(req.method, ts.URL+req.path, strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !json.Valid(b) || bytes.IndexByte(b, '\n') != len(b)-1 {
+			t.Errorf("%s %s (status %d): body is not one JSON line: %q", req.method, req.path, resp.StatusCode, b)
 		}
 	}
 }
@@ -410,6 +452,8 @@ func TestSweepsRejectsBadRequests(t *testing.T) {
 		`{"grid": {"tiers": [3]}}`,
 		`{"steady": {"utils": [], "flows_ml_min": [20]}}`,
 		`{"nope": 1}`,
+		// One bad point fails the whole grid, valid points included.
+		`{"grid": {"workloads": ["web", "nope"], "steps": 2, "grid": 8}}`,
 	} {
 		// Streamed and unstreamed alike must reject before any 200.
 		for _, path := range []string{"/v1/sweeps", "/v1/sweeps?stream=1"} {
@@ -417,12 +461,13 @@ func TestSweepsRejectsBadRequests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resp.StatusCode == http.StatusOK {
-				t.Fatalf("bad sweep request accepted on %s: %s", path, body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("bad sweep request on %s: status %d, want 400: %s", path, resp.StatusCode, body)
 			}
 			resp.Body.Close()
 		}
 	}
+	assertNothingComputed(t, ts)
 }
 
 func TestSweepsGridBatchStats(t *testing.T) {

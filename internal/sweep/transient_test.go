@@ -3,10 +3,12 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/jobs"
 )
 
@@ -223,8 +225,8 @@ func TestRunTransientCancel(t *testing.T) {
 }
 
 // TestRunTransientFailFast checks the fail-fast path: the first
-// scenario failure (a workload unknown to the trace generator — it
-// passes validation but fails at run time) cancels the batch, the
+// scenario failure (an injected compute fault — validation rejects
+// every scenario that would fail to build) cancels the batch, the
 // report carries the root cause, and skipped scenarios are labeled.
 func TestRunTransientFailFast(t *testing.T) {
 	var batch []jobs.Scenario
@@ -233,21 +235,43 @@ func TestRunTransientFailFast(t *testing.T) {
 			Tiers: 2, Cooling: "air", Workload: "web", Steps: 2, Grid: 8, Seed: seed,
 		})
 	}
-	batch[2].Workload = "bogus" // fails in GenerateTrace, not in Validate
+	// One worker runs the width-2 chunks {0,1}, {2,3}, {4,5} in order
+	// and builds each chunk's runners in key order, so the third build
+	// — the one the fault hits — is whichever of 2 and 3 has the
+	// smaller key.
+	failed := 2
+	if batch[3].Key() < batch[2].Key() {
+		failed = 3
+	}
+	t.Cleanup(fault.Disable)
+	fault.Enable(fault.New(1, fault.Rule{Point: "jobs.compute", Mode: fault.ModeError, After: 2, Times: 1}))
 	eng := &Engine{Pool: jobs.NewPool(1), FailFast: true, BatchWidth: 2, PrepEntries: -1}
 	rep, err := eng.RunTransient(context.Background(), batch, nil)
-	if err == nil {
-		t.Fatal("fail-fast sweep returned no error")
+	var injected *fault.Error
+	if !errors.As(err, &injected) {
+		t.Fatalf("fail-fast sweep error = %v, want the injected fault", err)
 	}
 	if rep == nil || rep.Errors == 0 {
 		t.Fatalf("report: %+v", rep)
 	}
-	first := rep.FirstFailure()
-	if first != 2 {
-		t.Fatalf("FirstFailure = %d, want 2", first)
+	if first := rep.FirstFailure(); first != failed {
+		t.Fatalf("FirstFailure = %d, want %d", first, failed)
 	}
-	if rep.Results[2].Err == nil {
-		t.Fatal("failing scenario has no error")
+	for i, r := range rep.Results {
+		switch {
+		case i < 2:
+			if r.Err != nil {
+				t.Errorf("scenario %d ran before the failure but failed: %v", i, r.Err)
+			}
+		case i == failed:
+			if !errors.As(r.Err, &injected) {
+				t.Errorf("failing scenario %d error = %v", i, r.Err)
+			}
+		default:
+			if !errors.Is(r.Err, context.Canceled) {
+				t.Errorf("scenario %d after the failure: error %v, want a cancellation", i, r.Err)
+			}
+		}
 	}
 }
 

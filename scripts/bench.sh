@@ -70,7 +70,7 @@ END {
 
 if [ "$mode" = "snapshot" ]; then
     out="${1:-BENCH_PR10.json}"
-    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|PoolStudySweep|CacheHit|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|SolveBlock$|StorePut$|StoreGet$|CacheHitDisk|FactorAMD|FactorND|SerialRefactor|ParallelRefactor|PlannedSweep$|UnplannedSweep$|ResultsQuery$|DisabledPoint$}"
+    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|PoolStudySweep|CacheHit$|CacheHitFuzzy$|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|SolveBlock$|StorePut$|StoreGet$|CacheHitDisk$|FactorAMD|FactorND|SerialRefactor|ParallelRefactor|PlannedSweep$|UnplannedSweep$|ResultsQuery$|DisabledPoint$}"
     count="${BENCH_COUNT:-1}"
     tmp="$(mktemp)"
     trap 'rm -f "$tmp"' EXIT
