@@ -226,7 +226,14 @@ func transientSweepBatch() []jobs.Scenario {
 // BenchmarkTransientSweepUnbatched — the ns/op ratio is the lockstep
 // batching speedup on this machine (acceptance floor: 3×).
 func BenchmarkTransientSweepBatched(b *testing.B) {
-	eng := &sweep.Engine{Pool: jobs.NewPool(1), BatchWidth: 50}
+	benchTransientSweep(b, &sweep.Engine{Pool: jobs.NewPool(1), BatchWidth: 50})
+}
+
+// benchTransientSweep runs the 50-scenario sweep through eng's lockstep
+// batch engine, checking every run computed without errors and blocked
+// its solves.
+func benchTransientSweep(b *testing.B, eng *sweep.Engine) {
+	b.Helper()
 	batch := transientSweepBatch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -256,6 +263,15 @@ func BenchmarkTransientSweepUnbatched(b *testing.B) {
 			b.Fatalf("sweep: %d errors", rep.Errors)
 		}
 	}
+}
+
+// BenchmarkTransientSweepPool runs the same 50 scenarios the way
+// POST /v1/sweeps does: RunTransient at the default width on a pool
+// with one worker per CPU. The one-worker sweep benchmarks above cannot
+// show how the group's chunks spread across workers; this one does (the
+// 50-scenario group runs as two chunks of 25).
+func BenchmarkTransientSweepPool(b *testing.B) {
+	benchTransientSweep(b, &sweep.Engine{Pool: jobs.NewPool(0)})
 }
 
 // --- Cost-based sweep planning and the results query surface ---

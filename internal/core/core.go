@@ -61,7 +61,7 @@ type Options struct {
 	Policy string
 	// ThresholdC is the hot-spot threshold (default 85 °C).
 	ThresholdC float64
-	// Grid is the thermal grid resolution (default 16).
+	// Grid is the thermal grid resolution (default 16; see CheckGrid).
 	Grid int
 	// Coolant overrides the coolant (default water; see fluids package
 	// for refrigerants and nanofluids). Liquid mode only.
@@ -74,8 +74,8 @@ type Options struct {
 	// (kelvin) to the temperature readings the policy sees (0 = ideal
 	// sensors); see sim.Config.
 	SensorNoiseStdC float64
-	// FlowQuantLevels quantises pump actuation (default 8 settings);
-	// see sim.Config. Liquid mode only.
+	// FlowQuantLevels quantises pump actuation (default 8 settings;
+	// see CheckFlowLevels and sim.Config). Liquid mode only.
 	FlowQuantLevels int
 	// Solver selects the linear-solver backend for every thermal solve
 	// ("" = default): "bicgstab", "gmres" or "direct" (sparse LU that
@@ -177,6 +177,42 @@ func CheckPolicy(name string, thresholdC float64) error {
 	return p.check(thresholdC)
 }
 
+// Size bounds of one run: the thermal grid resolution, the trace
+// length in seconds and the pump's flow quantisation levels. The grid,
+// the trace and the level table are allocated before the first step,
+// so an unbounded size ends the process with a fatal out-of-memory
+// error that nothing can recover. The bounds admit every size the
+// reproduction uses (grids 8–16 in scenarios and up to 32 in the
+// grid-convergence ablation, 300-step traces, 8 flow levels by
+// default).
+// NewSystem and GenerateTrace enforce them, and callers that validate
+// before computing check the same bounds through CheckGrid, CheckSteps
+// and CheckFlowLevels.
+const (
+	MinGrid, MaxGrid             = 2, 32
+	MinSteps, MaxSteps           = 1, 3600
+	MinFlowLevels, MaxFlowLevels = 2, 64
+)
+
+// CheckGrid reports whether NewSystem accepts the grid resolution.
+func CheckGrid(grid int) error { return checkSize("grid", grid, MinGrid, MaxGrid) }
+
+// CheckSteps reports whether GenerateTrace accepts the trace length.
+func CheckSteps(steps int) error { return checkSize("trace length", steps, MinSteps, MaxSteps) }
+
+// CheckFlowLevels reports whether NewSystem accepts the flow
+// quantisation level count.
+func CheckFlowLevels(levels int) error {
+	return checkSize("flow levels", levels, MinFlowLevels, MaxFlowLevels)
+}
+
+func checkSize(what string, v, lo, hi int) error {
+	if v < lo || v > hi {
+		return fmt.Errorf("core: %s %d outside [%d, %d]", what, v, lo, hi)
+	}
+	return nil
+}
+
 // System is a configured 3D MPSoC ready to run workloads. A System is
 // not safe for concurrent use: Steady caches its thermal model and last
 // solution so that sweeps over utilization or flow rate — e.g. the
@@ -213,6 +249,15 @@ func NewSystem(opt Options) (*System, error) {
 	}
 	if opt.Grid == 0 {
 		opt.Grid = 16
+	}
+	if opt.FlowQuantLevels == 0 {
+		opt.FlowQuantLevels = 8
+	}
+	if err := CheckGrid(opt.Grid); err != nil {
+		return nil, err
+	}
+	if err := CheckFlowLevels(opt.FlowQuantLevels); err != nil {
+		return nil, err
 	}
 	mode := thermal.AirCooled
 	if opt.Cooling == Liquid {
@@ -396,10 +441,13 @@ func (s *System) coolant() fluids.Fluid {
 // GenerateTrace synthesises a named workload trace: "web", "db", "mm",
 // "peak" (the maximum-utilization stressor), or "light" (the idle-heavy
 // off-peak trace). threads should be
-// System.Threads(); steps is the duration in seconds.
+// System.Threads(); steps is the duration in seconds (see CheckSteps).
 func GenerateTrace(name string, threads, steps int, seed int64) (*workload.Trace, error) {
 	p, err := lookupWorkload(name)
 	if err != nil {
+		return nil, err
+	}
+	if err := CheckSteps(steps); err != nil {
 		return nil, err
 	}
 	return p.Generate(threads, steps, seed)

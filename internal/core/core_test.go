@@ -34,6 +34,36 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 }
 
+// TestSizeBounds: NewSystem and GenerateTrace accept every size up to
+// the bounds and reject one past them (and below the minimum) before
+// allocating anything sized by the request.
+func TestSizeBounds(t *testing.T) {
+	for _, tc := range []struct {
+		grid, levels int
+		ok           bool
+	}{
+		{0, 0, true}, {MinGrid, MinFlowLevels, true}, {MaxGrid, MaxFlowLevels, true},
+		{MinGrid - 1, 8, false}, {MaxGrid + 1, 8, false}, {100000, 8, false},
+		{16, MinFlowLevels - 1, false}, {16, MaxFlowLevels + 1, false}, {16, 2000000000, false},
+	} {
+		_, err := NewSystem(Options{Cooling: Liquid, Policy: "LC_FUZZY", Grid: tc.grid, FlowQuantLevels: tc.levels})
+		if (err == nil) != tc.ok {
+			t.Errorf("NewSystem(grid %d, flow levels %d) error = %v, want ok=%v", tc.grid, tc.levels, err, tc.ok)
+		}
+	}
+	for _, tc := range []struct {
+		steps int
+		ok    bool
+	}{
+		{MinSteps, true}, {MaxSteps, true}, {MinSteps - 1, false}, {MaxSteps + 1, false}, {2000000000, false},
+	} {
+		_, err := GenerateTrace("web", 32, tc.steps, 1)
+		if (err == nil) != tc.ok {
+			t.Errorf("GenerateTrace(%d steps) error = %v, want ok=%v", tc.steps, err, tc.ok)
+		}
+	}
+}
+
 func TestMakePolicy(t *testing.T) {
 	for _, name := range Policies() {
 		p, err := MakePolicy(name, 85)

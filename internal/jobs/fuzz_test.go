@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mat"
 )
 
 // FuzzScenarioKey pins the cache-key contract under arbitrary field
@@ -60,29 +59,32 @@ func FuzzScenarioKey(f *testing.F) {
 }
 
 // computeAccepts is the compute path's own verdict on a scenario: the
-// bounds the simulator needs plus the constructors Scenario.Run calls
-// for each named field. The trace is generated one step long — only
-// its workload name is under test here.
+// sensor-noise bound the simulator needs plus the constructors
+// Scenario.Run calls — NewSystem (stack, grid, flow levels, policy,
+// solver, ordering) and GenerateTrace (workload, trace length).
 func computeAccepts(s Scenario) bool {
 	s = s.Normalized()
-	if (s.Tiers != 2 && s.Tiers != 4) || s.Steps < 1 || s.Grid < 2 || s.FlowQuantLevels < 2 || s.SensorNoiseStdC < 0 {
+	if s.SensorNoiseStdC < 0 {
 		return false
 	}
-	if _, err := ParseCooling(s.Cooling); err != nil {
+	cooling, err := ParseCooling(s.Cooling)
+	if err != nil {
 		return false
 	}
-	if _, err := core.MakePolicy(s.Policy, s.ThresholdC); err != nil {
+	sys, err := core.NewSystem(core.Options{
+		Tiers: s.Tiers, Cooling: cooling, Policy: s.Policy, ThresholdC: s.ThresholdC,
+		Grid: s.Grid, FlowQuantLevels: s.FlowQuantLevels, Solver: s.Solver, Ordering: s.Ordering,
+	})
+	if err != nil {
 		return false
 	}
-	if _, err := core.GenerateTrace(s.Workload, 32, 1, s.Seed); err != nil {
-		return false
-	}
-	return mat.KnownBackend(s.Solver) && mat.KnownOrdering(s.Ordering)
+	_, err = core.GenerateTrace(s.Workload, sys.Threads(), s.Steps, s.Seed)
+	return err == nil
 }
 
 // FuzzScenarioValidate pins validation to the compute path: Validate
-// builds no policy and no trace, yet must accept exactly the scenarios
-// whose policy, trace and solver construction succeed — a scenario it
+// builds no system and no trace, yet must accept exactly the scenarios
+// whose system and trace construction succeed — a scenario it
 // lets through must not fail to build, and one it rejects must not be
 // runnable.
 func FuzzScenarioValidate(f *testing.F) {
@@ -94,6 +96,12 @@ func FuzzScenarioValidate(f *testing.F) {
 	f.Add(2, "air", "LB", "nope", 3, 8, int64(1), -1.0, 8, 0.0, "", "")
 	f.Add(2, "air", "LC_PID", "mm", 3, 8, int64(1), math.NaN(), 8, 0.0, "quantum", "")
 	f.Add(3, "helium", "YOLO", "web", -1, 1, int64(1), 85.0, 1, -1.0, "", "natural")
+	// The size bounds, each at and one past its limit.
+	f.Add(4, "liquid", "LC_FUZZY_PC", "peak", core.MaxSteps, core.MaxGrid, int64(1), 85.0, core.MaxFlowLevels, 0.0, "direct", "")
+	f.Add(2, "liquid", "LC_FUZZY", "web", core.MaxSteps+1, 8, int64(1), 85.0, 8, 0.0, "", "")
+	f.Add(2, "liquid", "LC_FUZZY", "web", 10, core.MaxGrid+1, int64(1), 85.0, 8, 0.0, "", "")
+	f.Add(2, "liquid", "LC_FUZZY", "web", 10, 8, int64(1), 85.0, core.MaxFlowLevels+1, 0.0, "", "")
+	f.Add(2, "air", "LB", "web", 2000000000, 100000, int64(1), 85.0, 2000000000, 0.0, "", "")
 	f.Fuzz(func(t *testing.T, tiers int, cooling, policy, workload string, steps, grid int, seed int64,
 		threshold float64, levels int, noise float64, solver, ordering string) {
 		s := Scenario{

@@ -34,15 +34,18 @@ type Scenario struct {
 	// Workload names the trace profile: web, db, mm, peak, light
 	// (default "web").
 	Workload string `json:"workload,omitempty"`
-	// Steps is the trace length in seconds (default 300).
+	// Steps is the trace length in seconds (default 300; at most
+	// core.MaxSteps).
 	Steps int `json:"steps,omitempty"`
-	// Grid is the thermal grid resolution (default 16).
+	// Grid is the thermal grid resolution (default 16; at most
+	// core.MaxGrid).
 	Grid int `json:"grid,omitempty"`
 	// Seed makes the synthetic trace reproducible (default 1).
 	Seed int64 `json:"seed,omitempty"`
 	// ThresholdC is the hot-spot threshold (default 85 °C).
 	ThresholdC float64 `json:"threshold_c,omitempty"`
-	// FlowQuantLevels quantises pump actuation (default 8 settings).
+	// FlowQuantLevels quantises pump actuation (default 8 settings; at
+	// most core.MaxFlowLevels).
 	FlowQuantLevels int `json:"flow_levels,omitempty"`
 	// Solver selects the linear-solver backend: "bicgstab" (default),
 	// "gmres" or "direct" (see mat.Backends). Metrics are
@@ -119,14 +122,14 @@ func (s Scenario) Validate() error {
 	if err := core.CheckWorkload(s.Workload); err != nil {
 		return err
 	}
-	if s.Steps < 1 {
-		return fmt.Errorf("jobs: non-positive trace length %d", s.Steps)
+	if err := core.CheckSteps(s.Steps); err != nil {
+		return err
 	}
-	if s.Grid < 2 {
-		return fmt.Errorf("jobs: grid %d too coarse (want >= 2)", s.Grid)
+	if err := core.CheckGrid(s.Grid); err != nil {
+		return err
 	}
-	if s.FlowQuantLevels < 2 {
-		return fmt.Errorf("jobs: need >= 2 flow quantisation levels, got %d", s.FlowQuantLevels)
+	if err := core.CheckFlowLevels(s.FlowQuantLevels); err != nil {
+		return err
 	}
 	if s.SensorNoiseStdC < 0 {
 		return fmt.Errorf("jobs: negative sensor noise %v", s.SensorNoiseStdC)

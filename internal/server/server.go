@@ -655,12 +655,19 @@ func (s *Server) handleStudies(w http.ResponseWriter, r *http.Request) {
 	if req.Solver == "" {
 		req.Solver = s.defaultSolver
 	}
-	if !mat.KnownBackend(req.Solver) {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown solver backend %q (want one of %v)", req.Solver, mat.Backends()))
-		return
-	}
 	opt := exp.Options{Steps: req.Steps, Grid: req.Grid, Seed: req.Seed, Solver: req.Solver}
+	// Reject what any study scenario would fail on before dispatch, the
+	// way /v1/simulate and /v1/sweeps validate before computing.
+	scenarios := exp.StudyScenarios(opt)
+	if req.Savings {
+		scenarios = append(scenarios, exp.SavingsScenarios(opt)...)
+	}
+	for _, sc := range scenarios {
+		if err := sc.Validate(); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+	}
 	s.dispatch(w, r, "study", func(ctx context.Context) (any, error) {
 		results, err := exp.RunStudyOn(ctx, s.pool, s.cache, opt)
 		if err != nil {

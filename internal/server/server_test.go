@@ -228,6 +228,12 @@ func TestSimulateRejectsBadRequests(t *testing.T) {
 		"bad tiers":      `{"tiers": 3}`,
 		"bad cooling":    `{"cooling": "helium"}`,
 		"bad workload":   `{"workload": "nope"}`,
+		// Size bounds: each of these would allocate past the machine's
+		// memory before the first step.
+		"huge grid":        `{"grid": 100000, "steps": 1}`,
+		"huge steps":       `{"grid": 4, "steps": 2000000000}`,
+		"huge flow levels": `{"cooling": "liquid", "policy": "LC_FUZZY", "grid": 4, "steps": 1, "flow_levels": 2000000000}`,
+		"grid past bound":  `{"grid": 33, "steps": 1}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
@@ -334,6 +340,33 @@ func TestStudiesEndpoint(t *testing.T) {
 	if n := s.Cache().Len(); n != 28 {
 		t.Fatalf("cache holds %d scenarios after the study, want 28", n)
 	}
+}
+
+// TestStudiesRejectsBadRequests: every study (and savings) scenario is
+// validated before dispatch, so a bad request gets 400 synchronously
+// and asynchronously alike, never a 422 or a failed job after compute
+// has started.
+func TestStudiesRejectsBadRequests(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, body := range []string{
+		`{"steps": -5, "grid": 8}`,
+		`{"steps": 2, "grid": 100000}`,
+		`{"steps": 2000000000, "grid": 8}`,
+		`{"steps": 2, "grid": 8, "solver": "quantum"}`,
+		`{"steps": -5, "grid": 8, "savings": true}`,
+	} {
+		for _, path := range []string{"/v1/studies", "/v1/studies?async=1"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("bad study request on %s: status %d, want 400: %s", path, resp.StatusCode, body)
+			}
+		}
+	}
+	assertNothingComputed(t, ts)
 }
 
 func TestStudiesAsync(t *testing.T) {
@@ -454,6 +487,9 @@ func TestSweepsRejectsBadRequests(t *testing.T) {
 		`{"nope": 1}`,
 		// One bad point fails the whole grid, valid points included.
 		`{"grid": {"workloads": ["web", "nope"], "steps": 2, "grid": 8}}`,
+		`{"grid": {"grid": 100000, "steps": 1}}`,
+		`{"grid": {"steps": 2000000000, "grid": 4}}`,
+		`{"steady": {"grid": 100000, "utils": [0.5], "flows_ml_min": [20]}}`,
 	} {
 		// Streamed and unstreamed alike must reject before any 200.
 		for _, path := range []string{"/v1/sweeps", "/v1/sweeps?stream=1"} {

@@ -23,7 +23,8 @@ type SteadySweep struct {
 	// Cooling is "air" or "liquid" (default liquid — the flow axis is
 	// inert for air).
 	Cooling string `json:"cooling,omitempty"`
-	// Grid is the thermal grid resolution (default 16).
+	// Grid is the thermal grid resolution (default 16; at most
+	// core.MaxGrid).
 	Grid int `json:"grid,omitempty"`
 	// Solver selects the backend (default "direct", the factor-once
 	// backend this sweep is built for).
@@ -76,6 +77,9 @@ func (s SteadySweep) validate() error {
 		}
 	}
 	if _, err := jobs.ParseCooling(s.Cooling); err != nil {
+		return err
+	}
+	if err := core.CheckGrid(s.Grid); err != nil {
 		return err
 	}
 	if !mat.KnownBackend(s.Solver) {

@@ -51,9 +51,11 @@ type Engine struct {
 	PrepEntries int
 	// BatchWidth bounds the scenarios one lockstep batch advances
 	// together in RunTransient: 0 selects DefaultBatchWidth, negative
-	// (or 1) steps every scenario solo. Results are identical for every
-	// width; the width only trades blocked-solve locality against
-	// cross-chunk parallelism.
+	// (or 1) steps every scenario solo. Each group splits into the
+	// fewest chunks of at most this width, sized evenly (see
+	// evenChunks). Results are identical for every width; the width
+	// only trades blocked-solve locality against cross-chunk
+	// parallelism.
 	BatchWidth int
 	// FailFast cancels the remaining scenarios of a batch after the
 	// first failure instead of completing the survivors.
@@ -160,7 +162,7 @@ type Report struct {
 type BatchReport struct {
 	thermal.BatchStats
 	// Chunks counts the lockstep batches the sweep was split into
-	// (≤ BatchWidth scenarios each).
+	// (≤ BatchWidth scenarios each, evenly sized within a group).
 	Chunks int `json:"chunks"`
 	// Assemblies aggregates the physical assembly work across groups.
 	Assemblies thermal.AsmStats `json:"assemblies"`

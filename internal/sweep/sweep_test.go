@@ -228,6 +228,7 @@ func TestSteadySweepValidation(t *testing.T) {
 		{Utils: []float64{0.5}, FlowsMlPerMin: []float64{-1}},
 		{Utils: []float64{0.5}, FlowsMlPerMin: []float64{20}, Cooling: "steam"},
 		{Utils: []float64{0.5}, FlowsMlPerMin: []float64{20}, Solver: "cray"},
+		{Utils: []float64{0.5}, FlowsMlPerMin: []float64{20}, Grid: 100000},
 	}
 	for i, sw := range cases {
 		if _, err := eng.RunSteady(context.Background(), sw, nil); err == nil {

@@ -58,10 +58,11 @@ func (e *Engine) batchWidth() int {
 // RunTransient executes a transient scenario batch with lockstep
 // multi-RHS stepping: scenarios are normalized, validated and
 // deduplicated exactly like Run, grouped by TransientKey, split into
-// chunks of at most BatchWidth, and every chunk advances its scenarios
-// in lockstep (sim.RunBatch) — each chunk's thermal sub-steps solve all
-// right-hand sides that share a factorization in one blocked pass, and
-// the whole group shares one factor cache and one assembly cache.
+// the fewest evenly sized chunks of at most BatchWidth (evenChunks),
+// and every chunk advances its scenarios in lockstep (sim.RunBatch) —
+// each chunk's thermal sub-steps solve all right-hand sides that share
+// a factorization in one blocked pass, and the whole group shares one
+// factor cache and one assembly cache.
 // Results are filled through the result cache (batch-aware single-flight
 // fills, so concurrent requests for a scenario join the batch's
 // computation). Per-scenario metrics, keys, cache flags and errors are
@@ -136,10 +137,9 @@ func (e *Engine) runTransient(ctx context.Context, scenarios []jobs.Scenario, on
 		if d.ShareAssemblies {
 			g.asm = thermal.NewAssemblyCache(e.asmEntries())
 		}
-		for at := 0; at < len(idxs); at += d.BatchWidth {
-			end := min(at+d.BatchWidth, len(idxs))
+		for _, c := range evenChunks(idxs, d.BatchWidth) {
 			chunkGroup[len(chunks)] = g
-			chunks = append(chunks, idxs[at:end])
+			chunks = append(chunks, c)
 		}
 	}
 
@@ -233,6 +233,26 @@ func (e *Engine) runTransient(ctx context.Context, scenarios []jobs.Scenario, on
 			p.norm[first].Cooling, p.norm[first].Policy, p.norm[first].Workload, results[first].Err)
 	}
 	return rep, nil
+}
+
+// evenChunks splits a lockstep group's members into the fewest chunks
+// of at most width, with sizes differing by at most one and each chunk
+// a contiguous run of idxs. Cutting width-sized chunks from the front
+// would run a 50-scenario group as 32 beside 18, leaving one of two
+// workers idle once its 18 finish; split evenly it runs as 25+25.
+// Contiguous runs keep same-policy scenarios together, so they share
+// more factorizations per blocked solve than a strided split would.
+// The split depends on the group and width alone, never on the pool's
+// worker count: the report's batch block follows chunk composition and
+// must stay identical across worker counts.
+func evenChunks(idxs []int, width int) [][]int {
+	n := len(idxs)
+	count := (n + width - 1) / width
+	out := make([][]int, count)
+	for k := range out {
+		out[k] = idxs[k*n/count : (k+1)*n/count]
+	}
+	return out
 }
 
 // asmEntries maps the engine's PrepEntries convention onto the assembly

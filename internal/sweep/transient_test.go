@@ -315,3 +315,79 @@ func TestRunTransientConcurrentOverlap(t *testing.T) {
 		}
 	}
 }
+
+// TestEvenChunks pins the chunk rule: the fewest chunks of at most the
+// width, sizes differing by at most one, concatenating to the group's
+// members in order.
+func TestEvenChunks(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 31, 32, 33, 50, 64, 65, 256} {
+		idxs := make([]int, n)
+		for i := range idxs {
+			idxs[i] = 3*i + 1 // distinct from positions, so order is checked on values
+		}
+		for _, w := range []int{1, 2, 4, 32} {
+			chunks := evenChunks(idxs, w)
+			if want := (n + w - 1) / w; len(chunks) != want {
+				t.Fatalf("n=%d w=%d: %d chunks, want %d", n, w, len(chunks), want)
+			}
+			lo, hi := n, 0
+			var joined []int
+			for _, c := range chunks {
+				lo, hi = min(lo, len(c)), max(hi, len(c))
+				joined = append(joined, c...)
+			}
+			if hi > w {
+				t.Fatalf("n=%d w=%d: chunk of %d members exceeds the width", n, w, hi)
+			}
+			if hi-lo > 1 {
+				t.Fatalf("n=%d w=%d: chunk sizes range %d..%d, want within one", n, w, lo, hi)
+			}
+			if !reflect.DeepEqual(joined, idxs) {
+				t.Fatalf("n=%d w=%d: chunks do not concatenate to the group's order", n, w)
+			}
+		}
+	}
+}
+
+// TestRunTransientEvenChunksPolicySweep runs the shape of the
+// 50-scenario policy sweep (one lockstep group, two policies × 25
+// seeds) at the default width: it splits into two chunks of 25, so its
+// report is byte-identical to the same sweep at width 25 — a 32+18
+// split would group the scenarios differently and move the batch
+// counters.
+func TestRunTransientEvenChunksPolicySweep(t *testing.T) {
+	var batch []jobs.Scenario
+	for _, p := range []string{"LC_FUZZY", "LC_PID"} {
+		for seed := int64(1); seed <= 25; seed++ {
+			batch = append(batch, jobs.Scenario{
+				Tiers: 2, Cooling: "liquid", Policy: p, Workload: "web",
+				Steps: 2, Grid: 8, Solver: "direct", Seed: seed,
+			})
+		}
+	}
+	report := func(width, workers int) (*Report, []byte) {
+		t.Helper()
+		eng := &Engine{Pool: jobs.NewPool(workers), Cache: jobs.NewCache(0), BatchWidth: width}
+		rep, err := eng.RunTransient(context.Background(), batch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Errors != 0 || len(rep.Groups) != 1 {
+			t.Fatalf("width=%d: %d errors, %d groups", width, rep.Errors, len(rep.Groups))
+		}
+		if rep.Batch.Chunks != 2 {
+			t.Fatalf("width=%d: %d chunks, want 2", width, rep.Batch.Chunks)
+		}
+		raw, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, raw
+	}
+	def, defRaw := report(0, 2)
+	even, evenRaw := report(25, 1)
+	if string(defRaw) != string(evenRaw) {
+		t.Fatalf("default-width report differs from the 25+25 split: batch %+v, want %+v",
+			*def.Batch, *even.Batch)
+	}
+}

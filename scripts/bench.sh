@@ -1,14 +1,21 @@
 #!/usr/bin/env sh
 # bench.sh — run the solver/scenario/sweep benchmark suite and emit a
-# machine-readable snapshot (default BENCH_PR7.json) so the performance
-# trajectory of the repo is tracked in-tree, or — with --check — rerun
-# the benchmarks pinned in the latest committed snapshot and fail when
-# any ns/op, bytes/op or allocs/op regressed past the tolerance (the CI
-# bench-gate job), or — with --profile — capture cpu/mem pprof profiles
-# of the sweep benchmarks for offline analysis.
+# machine-readable snapshot (default bench-snapshot.json, untracked) so
+# the performance trajectory of the repo can be tracked in-tree, or —
+# with --check — rerun the benchmarks pinned in the latest committed
+# snapshot and fail when any ns/op, bytes/op or allocs/op regressed
+# past the tolerance (the CI bench-gate job), or — with --profile —
+# capture cpu/mem pprof profiles of the sweep benchmarks for offline
+# analysis.
 #
 # Usage:
-#   scripts/bench.sh [output.json]          # snapshot mode
+#   scripts/bench.sh [output.json]          # snapshot mode (default
+#                                           # bench-snapshot.json; name
+#                                           # a new BENCH_PR<n>.json to
+#                                           # commit one — the server's
+#                                           # planner loads the newest
+#                                           # BENCH_*.json as its cost
+#                                           # model at start-up)
 #   scripts/bench.sh --check [base.json]    # regression gate against the
 #                                           # latest BENCH_*.json (or base)
 #   scripts/bench.sh --profile [outdir]     # pprof profiles (default
@@ -69,8 +76,8 @@ END {
 }
 
 if [ "$mode" = "snapshot" ]; then
-    out="${1:-BENCH_PR10.json}"
-    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|PoolStudySweep|CacheHit$|CacheHitFuzzy$|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|SolveBlock$|StorePut$|StoreGet$|CacheHitDisk$|FactorAMD|FactorND|SerialRefactor|ParallelRefactor|PlannedSweep$|UnplannedSweep$|ResultsQuery$|DisabledPoint$}"
+    out="${1:-bench-snapshot.json}"
+    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|PoolStudySweep|CacheHit$|CacheHitFuzzy$|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|TransientSweepPool$|SolveBlock$|StorePut$|StoreGet$|CacheHitDisk$|FactorAMD|FactorND|SerialRefactor|ParallelRefactor|PlannedSweep$|UnplannedSweep$|ResultsQuery$|DisabledPoint$}"
     count="${BENCH_COUNT:-1}"
     tmp="$(mktemp)"
     trap 'rm -f "$tmp"' EXIT
