@@ -111,6 +111,20 @@ func BenchmarkPoolStudySweep(b *testing.B) {
 	})
 }
 
+// BenchmarkStudyPool measures the 28-scenario Fig. 6/7 study the way
+// POST /v1/studies computes it: steps 12, grid 8, the default solver
+// backend, on a GOMAXPROCS-wide pool and without a result cache.
+func BenchmarkStudyPool(b *testing.B) {
+	pool := jobs.NewPool(0)
+	opt := exp.Options{Steps: 12, Grid: 8, Seed: 1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := exp.RunStudyOn(context.Background(), pool, nil, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCacheHit measures serving a memoized scenario from the
 // content-addressed result cache (validation + key hash + lookup +
 // defensive copy) against re-solving it; the cold solve is primed
@@ -878,6 +892,42 @@ func BenchmarkSolverGMRESWithRCMILU(b *testing.B) {
 		if _, err := mat.GMRES(pa, prhs, mat.IterOptions{Tol: 1e-8, Precond: ilu}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkILUApply measures one ILU(0) preconditioner application —
+// a forward and a backward triangular sweep — on the backward-Euler
+// left-hand side C/dt + G of the 4-tier liquid stack at grid 8
+// (n = 768) and the 0.1 s sensing step, the system the study's
+// bicgstab solves precondition.
+func BenchmarkILUApply(b *testing.B) {
+	sm, err := thermal.BuildStack(floorplan.Niagara4Tier(), thermal.StackOptions{
+		Nx: 8, Ny: 8,
+		Mode:          thermal.LiquidCooled,
+		FlowPerCavity: units.MlPerMinToM3PerS(32.3),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	caps := sm.Model.Capacitances()
+	capDt := make([]float64, len(caps))
+	for i, c := range caps {
+		capDt[i] = c / 0.1
+	}
+	lhs := sm.Model.ConductanceMatrix().AddDiagonal(capDt)
+	ilu, err := mat.NewILU(lhs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := make([]float64, lhs.N())
+	for i := range v {
+		v[i] = float64(i%13) - 6
+	}
+	dst := make([]float64, lhs.N())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ilu.Apply(dst, v)
 	}
 }
 

@@ -107,35 +107,43 @@ func mulVecLanes(a *Sparse, y, x []float64, w int, lanes []int) {
 }
 
 // applyLanes computes dst = (LU)⁻¹·v on the given lanes, mirroring
-// ILU.Apply sweep-for-sweep.
+// ILU.Apply sweep-for-sweep over the same schedule.
 func (f *ILU) applyLanes(dst, v []float64, w int, lanes []int) {
-	for i := 0; i < f.n; i++ {
+	fw := &f.sched.fwd
+	lo := 0
+	for k, i := range fw.rows {
+		hi := fw.end[k]
 		di := dst[i*w : i*w+w]
 		vi := v[i*w : i*w+w]
 		for _, l := range lanes {
 			di[l] = vi[l]
 		}
-		for p := f.rowPtr[i]; p < f.diag[i]; p++ {
-			lv := f.vals[p]
-			dk := dst[f.colIdx[p]*w : f.colIdx[p]*w+w]
+		for q := lo; q < hi; q++ {
+			lv := f.lVal[q]
+			dk := dst[fw.idx[q]*w : fw.idx[q]*w+w]
 			for _, l := range lanes {
 				di[l] -= lv * dk[l]
 			}
 		}
+		lo = hi
 	}
-	for i := f.n - 1; i >= 0; i-- {
+	bw := &f.sched.bwd
+	lo = 0
+	for k, i := range bw.rows {
+		hi := bw.end[k]
 		di := dst[i*w : i*w+w]
-		for p := f.diag[i] + 1; p < f.rowPtr[i+1]; p++ {
-			uv := f.vals[p]
-			dk := dst[f.colIdx[p]*w : f.colIdx[p]*w+w]
+		for q := lo; q < hi; q++ {
+			uv := f.uVal[q]
+			dk := dst[bw.idx[q]*w : bw.idx[q]*w+w]
 			for _, l := range lanes {
 				di[l] -= uv * dk[l]
 			}
 		}
-		d := f.vals[f.diag[i]]
+		d := f.dVal[k]
 		for _, l := range lanes {
 			di[l] /= d
 		}
+		lo = hi
 	}
 }
 

@@ -26,6 +26,9 @@ func GMRES(a *Sparse, b []float64, opt IterOptions) ([]float64, error) {
 	if opt.X0 != nil && len(opt.X0) != n {
 		return nil, fmt.Errorf("mat: GMRES guess length %d != n %d", len(opt.X0), n)
 	}
+	if opt.Precond != nil && opt.Precond.n != n {
+		return nil, fmt.Errorf("mat: GMRES preconditioner dimension %d != n %d", opt.Precond.n, n)
+	}
 	var prec func(dst, v []float64)
 	if opt.Precond != nil {
 		prec = opt.Precond.Apply

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -95,5 +96,30 @@ func TestILUFailsWithoutDiagonal(t *testing.T) {
 	b.Add(1, 0, 1)
 	if _, err := NewILU(b.Build()); err == nil {
 		t.Error("missing diagonal must fail")
+	}
+}
+
+// TestWrappersRejectMismatchedPrecond pins that an ILU built for another
+// dimension is an error from both iterative wrappers, in the form of
+// their rhs and guess length checks, not a panic inside ILU.Apply.
+func TestWrappersRejectMismatchedPrecond(t *testing.T) {
+	a := gridSystem(8, 0)
+	foreign, err := NewILU(gridSystem(9, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := make([]float64, a.N())
+	rhs[0] = 1
+	for _, w := range []struct {
+		name  string
+		solve func(*Sparse, []float64, IterOptions) ([]float64, error)
+	}{{"BiCGSTAB", BiCGSTAB}, {"GMRES", GMRES}} {
+		x, err := w.solve(a, rhs, IterOptions{Precond: foreign})
+		if err == nil || !strings.Contains(err.Error(), w.name+" preconditioner dimension 81 != n 64") {
+			t.Errorf("%s: error %v, want a preconditioner dimension error", w.name, err)
+		}
+		if x != nil {
+			t.Errorf("%s: returned a solution with the error", w.name)
+		}
 	}
 }

@@ -187,20 +187,24 @@ func TestILURefactorBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := range cold.vals {
-		if math.Float64bits(shared.vals[p]) != math.Float64bits(cold.vals[p]) {
-			t.Fatalf("Refactored vals[%d]: %v vs %v", p, shared.vals[p], cold.vals[p])
+	for _, part := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"lVal", shared.lVal, cold.lVal},
+		{"uVal", shared.uVal, cold.uVal},
+		{"dVal", shared.dVal, cold.dVal},
+	} {
+		if len(part.got) != len(part.want) {
+			t.Fatalf("Refactored %s length %d vs %d", part.name, len(part.got), len(part.want))
+		}
+		for p := range part.want {
+			if math.Float64bits(part.got[p]) != math.Float64bits(part.want[p]) {
+				t.Fatalf("Refactored %s[%d]: %v vs %v", part.name, p, part.got[p], part.want[p])
+			}
 		}
 	}
-	if err := f1.Refactor(a2); err != nil {
-		t.Fatal(err)
-	}
-	for p := range cold.vals {
-		if math.Float64bits(f1.vals[p]) != math.Float64bits(cold.vals[p]) {
-			t.Fatalf("Refactor vals[%d]: %v vs %v", p, f1.vals[p], cold.vals[p])
-		}
-	}
-	if err := f1.Refactor(gridSystem(9, 0)); err == nil {
+	if _, err := f1.Refactored(gridSystem(9, 0)); err == nil {
 		t.Fatal("foreign pattern must be rejected")
 	}
 }

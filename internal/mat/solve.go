@@ -19,15 +19,17 @@ var ErrSingular = errors.New("mat: matrix is singular")
 type IterOptions struct {
 	// Tol is the relative residual tolerance ‖b−Ax‖/‖b‖. Default 1e-10.
 	Tol float64
-	// MaxIter is the iteration budget. Default 4·n (BiCGSTAB) or 2·n (CG).
+	// MaxIter is the iteration budget. Default 4·n+40 (BiCGSTAB), 4·n
+	// (GMRES) or 2·n+40 (CG).
 	MaxIter int
 	// X0 optionally supplies an initial guess (it is not modified).
 	// A good guess — e.g. the previous time step's temperature field —
 	// typically cuts iterations by an order of magnitude.
 	X0 []float64
 	// Precond optionally supplies an ILU(0) preconditioner (built once
-	// per matrix with NewILU and reusable across solves). When nil the
-	// solver falls back to Jacobi (diagonal) scaling.
+	// per matrix with NewILU and reusable across solves); its dimension
+	// must match the matrix. When nil the solver falls back to Jacobi
+	// (diagonal) scaling. CG ignores it.
 	Precond *ILU
 }
 
@@ -46,10 +48,11 @@ func (o IterOptions) maxIter(def int) int {
 }
 
 // BiCGSTAB solves A·x = b for a general (possibly non-symmetric) matrix
-// using the stabilised bi-conjugate-gradient method with Jacobi (diagonal)
-// preconditioning. Thermal RC systems with advective coupling are strongly
-// diagonally dominant, so this converges in a few dozen iterations even on
-// large grids.
+// using the stabilised bi-conjugate-gradient method, preconditioned with
+// opt.Precond when given and with Jacobi (diagonal) scaling otherwise.
+// Thermal RC systems with advective coupling are strongly diagonally
+// dominant, so this converges in a few dozen iterations even on large
+// grids.
 //
 // This is a convenience wrapper that builds a fresh workspace per call;
 // repeated solves against one matrix should go through the Solver seam
@@ -58,6 +61,9 @@ func BiCGSTAB(a *Sparse, b []float64, opt IterOptions) ([]float64, error) {
 	n := a.N()
 	if len(b) != n {
 		return nil, fmt.Errorf("mat: BiCGSTAB rhs length %d != n %d", len(b), n)
+	}
+	if opt.Precond != nil && opt.Precond.n != n {
+		return nil, fmt.Errorf("mat: BiCGSTAB preconditioner dimension %d != n %d", opt.Precond.n, n)
 	}
 	var prec func(dst, v []float64)
 	if opt.Precond != nil {

@@ -421,6 +421,13 @@ func (w *bicgstabWS) Stats() SolveStats { return w.stats }
 
 // Solve implements Workspace. On ErrNoConvergence dst holds the best
 // iterate reached.
+//
+// Vector passes that read the same data are fused — each mat-vec with
+// the inner products of its result, the s update with ‖s‖², and the x/r
+// update with ‖r‖² and the next iteration's r̂·r — while every element
+// and every sum sees the operations of the textbook sequence in the
+// same order (sums ascending by row, as Dot), so the fusion is
+// bit-invisible.
 func (w *bicgstabWS) Solve(dst, b, x0 []float64) error {
 	n := w.a.N()
 	if len(dst) != n || len(b) != n {
@@ -430,34 +437,34 @@ func (w *bicgstabWS) Solve(dst, b, x0 []float64) error {
 		return fmt.Errorf("mat: bicgstab guess length %d != n %d", len(x0), n)
 	}
 	w.stats.Solves++
-	x := dst
+	x := dst[:n]
 	if x0 != nil {
 		copy(x, x0)
 	} else {
 		Fill(x, 0)
 	}
-	w.a.MulVec(w.r, x)
-	Sub(w.r, b, w.r)
+	r, rhat, v, p := w.r[:n], w.rhat[:n], w.v[:n], w.p[:n]
+	phat, s, shat, t := w.phat[:n], w.s[:n], w.shat[:n], w.t[:n]
+	bb, rr := w.a.residual(r, b, x)
 
-	bnorm := Norm2(b)
+	bnorm := math.Sqrt(bb)
 	if bnorm == 0 {
 		Fill(x, 0)
 		w.stats.EarlyExits++
 		return nil
 	}
-	if Norm2(w.r)/bnorm <= w.tol {
+	if math.Sqrt(rr)/bnorm <= w.tol {
 		w.stats.EarlyExits++
 		return nil
 	}
 
-	copy(w.rhat, w.r)
+	copy(rhat, r)
 	rho, alpha, omega := 1.0, 1.0, 1.0
-	Fill(w.v, 0)
-	Fill(w.p, 0)
-	r, rhat, v, p, phat, s, shat, t := w.r, w.rhat, w.v, w.p, w.phat, w.s, w.shat, w.t
+	Fill(v, 0)
+	Fill(p, 0)
+	rhoNew := rr // r̂ = r, so r̂·r is ‖r‖²
 	for it := 0; it < w.maxIter; it++ {
 		w.stats.Iterations++
-		rhoNew := Dot(rhat, r)
 		if math.Abs(rhoNew) < 1e-300 {
 			// Breakdown: restart with the current residual.
 			copy(rhat, r)
@@ -474,33 +481,36 @@ func (w *bicgstabWS) Solve(dst, b, x0 []float64) error {
 			p[i] = r[i] + beta*(p[i]-omega*v[i])
 		}
 		w.prec(phat, p)
-		w.a.MulVec(v, phat)
-		den := Dot(rhat, v)
+		den := w.a.mulVecDot(v, phat, rhat)
 		if den == 0 {
 			return ErrNoConvergence
 		}
 		alpha = rho / den
+		ss := 0.0
 		for i := range s {
-			s[i] = r[i] - alpha*v[i]
+			si := r[i] - alpha*v[i]
+			s[i] = si
+			ss += si * si
 		}
-		if Norm2(s)/bnorm <= w.tol {
+		if math.Sqrt(ss)/bnorm <= w.tol {
 			AXPY(alpha, phat, x)
 			return nil
 		}
 		w.prec(shat, s)
-		w.a.MulVec(t, shat)
-		tt := Dot(t, t)
+		tt, ts := w.a.mulVecDot2(t, shat, s)
 		if tt == 0 {
 			return ErrNoConvergence
 		}
-		omega = Dot(t, s) / tt
+		omega = ts / tt
+		rr, rhoNew = 0, 0
 		for i := range x {
 			x[i] += alpha*phat[i] + omega*shat[i]
+			ri := s[i] - omega*t[i]
+			r[i] = ri
+			rr += ri * ri
+			rhoNew += rhat[i] * ri
 		}
-		for i := range r {
-			r[i] = s[i] - omega*t[i]
-		}
-		res := Norm2(r) / bnorm
+		res := math.Sqrt(rr) / bnorm
 		if res <= w.tol {
 			return nil
 		}

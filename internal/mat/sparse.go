@@ -53,13 +53,65 @@ func (m *Sparse) MulVec(dst, x []float64) {
 	if len(dst) != m.n || len(x) != m.n {
 		panic(fmt.Sprintf("mat: MulVec dimension mismatch: n=%d len(dst)=%d len(x)=%d", m.n, len(dst), len(x)))
 	}
-	for i := 0; i < m.n; i++ {
-		s := 0.0
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			s += m.vals[p] * x[m.colIdx[p]]
-		}
-		dst[i] = s
+	for i := range dst {
+		dst[i] = m.rowDot(i, x)
 	}
+}
+
+// rowDot returns row i's inner product with x, summed in storage order.
+// The row's values are resliced to its column count, so a range over
+// the columns indexes them without bounds checks.
+func (m *Sparse) rowDot(i int, x []float64) float64 {
+	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
+	cols := m.colIdx[lo:hi]
+	vals := m.vals[lo:hi][:len(cols)]
+	s := 0.0
+	for k, c := range cols {
+		s += vals[k] * x[c]
+	}
+	return s
+}
+
+// The fused kernels below serve the BiCGSTAB iteration: each computes a
+// mat-vec exactly as MulVec does and, in the same pass, the inner
+// products the iteration needs next, every sum accumulated in ascending
+// row order as Dot accumulates it. All slices must have length N.
+
+// residual computes r = b − M·x and returns b·b and r·r.
+func (m *Sparse) residual(r, b, x []float64) (bb, rr float64) {
+	b = b[:len(r)]
+	for i := range r {
+		s := m.rowDot(i, x)
+		bi := b[i]
+		ri := bi - s
+		r[i] = ri
+		bb += bi * bi
+		rr += ri * ri
+	}
+	return bb, rr
+}
+
+// mulVecDot computes dst = M·x and returns y·dst.
+func (m *Sparse) mulVecDot(dst, x, y []float64) (yd float64) {
+	y = y[:len(dst)]
+	for i := range dst {
+		s := m.rowDot(i, x)
+		dst[i] = s
+		yd += y[i] * s
+	}
+	return yd
+}
+
+// mulVecDot2 computes dst = M·x and returns dst·dst and dst·y.
+func (m *Sparse) mulVecDot2(dst, x, y []float64) (dd, dy float64) {
+	y = y[:len(dst)]
+	for i := range dst {
+		s := m.rowDot(i, x)
+		dst[i] = s
+		dd += s * s
+		dy += s * y[i]
+	}
+	return dd, dy
 }
 
 // Diagonal extracts the main diagonal into a new slice. Missing diagonal
