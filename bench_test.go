@@ -17,7 +17,6 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/jobs"
 	"repro/internal/mat"
-	"repro/internal/plan"
 	"repro/internal/power"
 	"repro/internal/query"
 	"repro/internal/sim"
@@ -238,15 +237,15 @@ func transientSweepBatch() []jobs.Scenario {
 // one worker, one chunk, blocked multi-RHS stepping with group-wide
 // factorization and assembly sharing. Compare against
 // BenchmarkTransientSweepUnbatched — the ns/op ratio is the lockstep
-// batching speedup on this machine (acceptance floor: 3×).
+// batching speedup on this machine.
 func BenchmarkTransientSweepBatched(b *testing.B) {
-	benchTransientSweep(b, &sweep.Engine{Pool: jobs.NewPool(1), BatchWidth: 50})
+	benchTransientSweep(b, &sweep.Engine{Pool: jobs.NewPool(1), BatchWidth: 50}, true)
 }
 
 // benchTransientSweep runs the 50-scenario sweep through eng's lockstep
 // batch engine, checking every run computed without errors and blocked
-// its solves.
-func benchTransientSweep(b *testing.B, eng *sweep.Engine) {
+// its solves exactly when blocked says it should.
+func benchTransientSweep(b *testing.B, eng *sweep.Engine, blocked bool) {
 	b.Helper()
 	batch := transientSweepBatch()
 	b.ResetTimer()
@@ -255,28 +254,18 @@ func benchTransientSweep(b *testing.B, eng *sweep.Engine) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Errors != 0 || rep.Batch == nil || rep.Batch.BatchedColumns == 0 {
+		if rep.Errors != 0 || (rep.Batch.BatchedColumns > 0) != blocked {
 			b.Fatalf("sweep: %d errors, batch %+v", rep.Errors, rep.Batch)
 		}
 	}
 }
 
 // BenchmarkTransientSweepUnbatched is the per-scenario baseline: the
-// same 50 scenarios through the PR-3 sweep engine (shared factor cache,
-// independent stepping), on the same single worker.
+// same 50 scenarios through the same engine at width 1 (group-wide
+// factorization and assembly sharing, every scenario stepped solo), on
+// the same single worker.
 func BenchmarkTransientSweepUnbatched(b *testing.B) {
-	eng := &sweep.Engine{Pool: jobs.NewPool(1)}
-	batch := transientSweepBatch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := eng.Run(context.Background(), batch, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Errors != 0 {
-			b.Fatalf("sweep: %d errors", rep.Errors)
-		}
-	}
+	benchTransientSweep(b, &sweep.Engine{Pool: jobs.NewPool(1), BatchWidth: 1}, false)
 }
 
 // BenchmarkTransientSweepPool runs the same 50 scenarios the way
@@ -285,51 +274,10 @@ func BenchmarkTransientSweepUnbatched(b *testing.B) {
 // show how the group's chunks spread across workers; this one does (the
 // 50-scenario group runs as two chunks of 25).
 func BenchmarkTransientSweepPool(b *testing.B) {
-	benchTransientSweep(b, &sweep.Engine{Pool: jobs.NewPool(0)})
+	benchTransientSweep(b, &sweep.Engine{Pool: jobs.NewPool(0)}, true)
 }
 
-// --- Cost-based sweep planning and the results query surface ---
-
-// BenchmarkUnplannedSweep is the planner gate's baseline: the
-// 50-scenario transient policy sweep executed without a plan —
-// per-scenario independent stepping through the shared factor cache
-// (sweep.Engine.Run), the strategy a sweep falls back to when no
-// cost-based decision picks the lockstep knobs.
-func BenchmarkUnplannedSweep(b *testing.B) {
-	eng := &sweep.Engine{Pool: jobs.NewPool(1)}
-	batch := transientSweepBatch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := eng.Run(context.Background(), batch, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Errors != 0 {
-			b.Fatalf("sweep: %d errors", rep.Errors)
-		}
-	}
-}
-
-// BenchmarkPlannedSweep runs the same 50 scenarios under the cost-based
-// planner (internal/plan): per lockstep group the planner costs the
-// candidate batch widths, refactorisation and sharing strategies from
-// its per-op model and executes the cheapest — byte-identical results
-// (pinned by TestPlannedSweepByteIdentical), just sooner. The bench
-// gate holds the planned/unplanned ns/op ratio at >= 1.2x.
-func BenchmarkPlannedSweep(b *testing.B) {
-	eng := &sweep.Engine{Pool: jobs.NewPool(1), Planner: plan.New(plan.DefaultModel())}
-	batch := transientSweepBatch()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := eng.RunTransient(context.Background(), batch, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Errors != 0 {
-			b.Fatalf("sweep: %d errors", rep.Errors)
-		}
-	}
-}
+// --- The results query surface ---
 
 // BenchmarkResultsQuery measures the query surface end to end over the
 // 50-row policy sweep: parse the expression, filter + sort + project

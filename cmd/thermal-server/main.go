@@ -47,8 +47,6 @@ func main() {
 	storePoolPages := flag.Int("store-pool-pages", 1024, "result-store buffer-pool page frames, split across shards (each shard keeps at least one frame)")
 	peers := flag.String("peers", "", "comma-separated base URLs of replica peers (e.g. http://replica-2:8080); a local store miss is warm-filled from the first peer that has the key before falling back to compute")
 	peerTimeout := flag.Duration("peer-timeout", 2*time.Second, "per-request timeout for peer warm-fill fetches")
-	plan := flag.Bool("plan", true, "cost-based sweep planner: pick each lockstep group's batch width and sharing strategy from a per-op cost model (results stay byte-identical; add ?explain=1 to /v1/sweeps for the candidate tables)")
-	benchCosts := flag.String("bench-costs", ".", "directory searched for committed BENCH_*.json cost-model snapshots; when none parses the planner self-calibrates at first use")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently executing compute requests; up to the same number again queue briefly, the rest are shed with 503 + Retry-After (0 = no admission control)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request compute deadline for synchronous /v1/simulate|dse|studies|sweeps; async submissions are exempt (0 = no deadline)")
 	drainWait := flag.Duration("drain-wait", 0, "pause between flipping /readyz to 503 on SIGTERM and starting Shutdown, so load balancers stop routing here first")
@@ -57,6 +55,9 @@ func main() {
 
 	if !mat.KnownBackend(*solver) {
 		log.Fatalf("unknown solver backend %q (want one of %v)", *solver, mat.Backends())
+	}
+	if !mat.KnownOrdering(*ordering) {
+		log.Fatalf("unknown ordering %q (want one of %v)", *ordering, mat.Orderings())
 	}
 	if *faultSpec != "" {
 		reg, err := fault.Parse(*faultSpec)
@@ -101,8 +102,6 @@ func main() {
 		Store:           st,
 		MaxInFlight:     *maxInFlight,
 		RequestTimeout:  *requestTimeout,
-		DisablePlanner:  !*plan,
-		BenchDir:        *benchCosts,
 	})
 	// WriteTimeout bounds a stalled client on ordinary responses; the
 	// NDJSON sweep stream and job long-polls manage their own per-request

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/jobs"
+	"repro/internal/mat"
 	"repro/internal/sweep"
 	"repro/internal/twophase"
 )
@@ -282,5 +283,124 @@ func TestGoldenSweepBatchInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPlannedSweepByteIdentical pins the chunking plan RunTransient
+// makes on its own — the width rule at the default BatchWidth: direct
+// groups in even chunks of at most DefaultBatchWidth, every bicgstab and
+// gmres scenario a chunk of one. On the golden sweep corpus the plan's
+// chunk count follows the rule, and every scenario's metrics are
+// byte-identical to the unchunked engine (BatchWidth 1, one worker)
+// across worker counts: the plan may only change how soon the bytes
+// arrive, never which bytes.
+func TestPlannedSweepByteIdentical(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "golden", "sweep-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) < 6 {
+		t.Fatalf("sweep golden corpus holds %d cases, want >= 6", len(files))
+	}
+	sort.Strings(files)
+	for _, path := range files {
+		path := path
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			t.Parallel()
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c goldenCase
+			if err := json.Unmarshal(raw, &c); err != nil {
+				t.Fatal(err)
+			}
+			if c.Kind != "transient-sweep" {
+				t.Fatalf("sweep-*.json of kind %q", c.Kind)
+			}
+
+			ref, err := (&sweep.Engine{Pool: jobs.NewPool(1), BatchWidth: 1}).
+				RunTransient(context.Background(), c.Sweep, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]byte, len(ref.Results))
+			for i, r := range ref.Results {
+				if r.Err != nil {
+					t.Fatalf("reference scenario %d: %v", i, r.Err)
+				}
+				if want[i], err = json.Marshal(r.Metrics); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			solver := map[string]string{}
+			for _, s := range c.Sweep {
+				solver[sweep.TransientKey(s)] = s.Normalized().Solver
+			}
+			for _, workers := range []int{1, 2, 3} {
+				rep, err := (&sweep.Engine{Pool: jobs.NewPool(workers)}).
+					RunTransient(context.Background(), c.Sweep, nil)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				chunks := 0
+				for _, g := range rep.Groups {
+					if solver[g.Key] == mat.BackendDirect {
+						chunks += (g.Scenarios + sweep.DefaultBatchWidth - 1) / sweep.DefaultBatchWidth
+					} else {
+						chunks += g.Scenarios
+					}
+				}
+				if rep.Batch.Chunks != chunks {
+					t.Fatalf("workers=%d: %d chunks, the width rule gives %d", workers, rep.Batch.Chunks, chunks)
+				}
+				for i, r := range rep.Results {
+					if r.Err != nil {
+						t.Fatalf("workers=%d scenario %d: %v", workers, i, r.Err)
+					}
+					got, err := json.Marshal(r.Metrics)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if string(got) != string(want[i]) {
+						t.Fatalf("workers=%d scenario %d: planned metrics differ from unchunked", workers, i)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPlannedSweepCorpusCoverage keeps the golden corpus honest about
+// the width rule's decision space: the corpus must exercise both cooling
+// modes and every solver backend, so the byte-identity sweep above
+// covers the blocked direct chunks and the solo iterative ones on the
+// liquid (multi-LHS) and air (two-LHS) paths alike.
+func TestPlannedSweepCorpusCoverage(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "golden", "sweep-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c goldenCase
+		if err := json.Unmarshal(raw, &c); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range c.Sweep {
+			s = s.Normalized()
+			seen[s.Cooling] = true
+			seen[s.Solver] = true
+		}
+	}
+	for _, want := range append([]string{"air", "liquid"}, mat.Backends()...) {
+		if !seen[want] {
+			t.Fatalf("no golden sweep case exercises %s", want)
+		}
 	}
 }

@@ -176,12 +176,13 @@ func RunStudy(opt Options) ([]*StudyResult, error) {
 // pool selects a GOMAXPROCS-wide default; a nil cache disables
 // memoization. Scenarios already resident in the cache are served
 // without re-solving — a second identical study is almost free — and
-// scenarios of one structural group share their thermal factorizations
-// through the engine's per-group factor cache.
+// the batch runs through sweep.Engine.RunTransient like every transient
+// sweep: scenarios of one lockstep group share their thermal
+// factorizations and assemblies through the group's caches.
 func RunStudyOn(ctx context.Context, pool *jobs.Pool, cache *jobs.Cache, opt Options) ([]*StudyResult, error) {
 	opt = opt.fill()
 	eng := &sweep.Engine{Pool: pool, Cache: cache, FailFast: true}
-	rep, err := eng.Run(ctx, StudyScenarios(opt), nil)
+	rep, err := eng.RunTransient(ctx, StudyScenarios(opt), nil)
 	if err != nil {
 		if i := rep.FirstFailure(); i >= 0 {
 			cfg, wl := studyCell(i)
@@ -462,11 +463,12 @@ func SavingsStudy(opt Options) ([]SavingsDetail, error) {
 // SavingsStudyOn is SavingsStudy on a caller-supplied pool and cache
 // (nil pool selects the GOMAXPROCS default; nil cache disables
 // memoization). All sixteen scenarios are liquid-cooled, so each stack
-// height forms one structural group sharing thermal factorizations.
+// height forms one lockstep group of sweep.Engine.RunTransient, sharing
+// thermal factorizations and assemblies.
 func SavingsStudyOn(ctx context.Context, pool *jobs.Pool, cache *jobs.Cache, opt Options) ([]SavingsDetail, error) {
 	opt = opt.fill()
 	eng := &sweep.Engine{Pool: pool, Cache: cache, FailFast: true}
-	rep, err := eng.Run(ctx, SavingsScenarios(opt), nil)
+	rep, err := eng.RunTransient(ctx, SavingsScenarios(opt), nil)
 	if err != nil {
 		if i := rep.FirstFailure(); i >= 0 {
 			tiers, wl, pol := savingsCell(i)

@@ -243,19 +243,20 @@ type Shared struct {
 	Assemblies *thermal.AssemblyCache
 }
 
-// Run executes the scenario on a fresh System and returns its metrics.
-// The context is checked before the (uninterruptible) solve starts;
-// pools use this to skip queued scenarios after cancellation.
+// Run executes the scenario standalone on a fresh System and returns
+// its metrics — the solo oracle every sweep strategy is held to. The
+// context is checked before the (uninterruptible) solve starts; pools
+// use this to skip queued scenarios after cancellation.
 func (s Scenario) Run(ctx context.Context) (*sim.Metrics, error) {
-	return s.RunWith(ctx, nil)
-}
-
-// RunWith is Run with a shared solver-preparation cache: scenarios of
-// one structural group (same stack, grid, solver) hand the same
-// mat.PrepCache here so identical thermal systems are factored once per
-// group instead of once per scenario.
-func (s Scenario) RunWith(ctx context.Context, prep *mat.PrepCache) (*sim.Metrics, error) {
-	return s.RunShared(ctx, Shared{Prep: prep})
+	s = s.Normalized()
+	sys, tr, err := s.system(ctx, Shared{})
+	if err != nil {
+		return nil, err
+	}
+	if s.Record {
+		return sys.RunTraceRecorded(tr)
+	}
+	return sys.RunTrace(tr)
 }
 
 // system validates the scenario and builds its System and trace.
@@ -301,23 +302,10 @@ func (s Scenario) system(ctx context.Context, sh Shared) (*core.System, *workloa
 	return sys, tr, nil
 }
 
-// RunShared is Run with the full sharing-cache set of a sweep group.
-func (s Scenario) RunShared(ctx context.Context, sh Shared) (*sim.Metrics, error) {
-	s = s.Normalized()
-	sys, tr, err := s.system(ctx, sh)
-	if err != nil {
-		return nil, err
-	}
-	if s.Record {
-		return sys.RunTraceRecorded(tr)
-	}
-	return sys.RunTrace(tr)
-}
-
 // NewRunner builds the scenario's resumable co-simulation runner — the
 // unit the lockstep batch sweep engine advances interval by interval
 // (sim.RunBatch). Driving the runner to completion yields exactly
-// RunShared's metrics.
+// Run's metrics.
 func (s Scenario) NewRunner(ctx context.Context, sh Shared) (*sim.Runner, error) {
 	s = s.Normalized()
 	sys, tr, err := s.system(ctx, sh)
@@ -332,19 +320,12 @@ func (s Scenario) NewRunner(ctx context.Context, sh Shared) (*sim.Runner, error)
 // defensive copy — callers may mutate it freely) instead of re-solving.
 // The boolean reports a cache hit. A nil cache always computes.
 func (c *Cache) Metrics(ctx context.Context, s Scenario) (*sim.Metrics, bool, error) {
-	return c.MetricsWith(ctx, s, nil)
-}
-
-// MetricsWith is Metrics with a shared solver-preparation cache for the
-// compute path (see Scenario.RunWith); results served from the result
-// cache never touch it.
-func (c *Cache) MetricsWith(ctx context.Context, s Scenario, prep *mat.PrepCache) (*sim.Metrics, bool, error) {
 	s = s.Normalized()
 	if err := s.Validate(); err != nil {
 		return nil, false, err
 	}
 	v, hit, err := c.GetOrComputeCtx(ctx, s.Key(), func() (any, error) {
-		return s.RunWith(ctx, prep)
+		return s.Run(ctx)
 	})
 	if err != nil {
 		return nil, hit, err

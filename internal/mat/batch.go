@@ -6,31 +6,32 @@ import (
 )
 
 // This file is the multi-RHS seam of the solver layer: a BatchWorkspace
-// solves several right-hand sides against one shared Factorization in a
-// single lockstep pass, so a batched transient sweep pays for each
-// factor/preconditioner traversal once per *step* instead of once per
+// solves several right-hand sides against one shared direct
+// factorization in a single lockstep pass, so a batched transient sweep
+// pays for each factor traversal once per *step* instead of once per
 // *scenario*. The payoff is cache locality and instruction-level
 // parallelism: the blocked triangular sweeps stream the factor entries
 // once for the whole column block, and the per-entry inner loop over
 // columns is a dense, dependency-free update (the single-column sweep is
 // a serial chain on one accumulator).
 //
+// Only the direct backend blocks (BatchFactorization). The iterative
+// backends' solves are dominated by data-dependent Krylov iterations,
+// not one fixed factor traversal, so their columns take the solo
+// kernels (see thermal.BatchStepper).
+//
 // Column arithmetic is bit-identical to Workspace.Solve on the same
 // inputs: every kernel performs the same floating-point operations in
 // the same order per column, only the storage changes (a blocked
 // accumulator instead of a register). That invariant is what lets the
 // sweep engine advance fifty scenarios in lockstep and still return
-// byte-identical reports to per-scenario stepping; batch_test.go pins it
-// for every backend.
+// byte-identical reports to per-scenario stepping; batch_test.go pins it.
 
 // ColumnResult is the outcome of one column of a SolveBatch call. The
 // counters are logical per-column counters — exactly what a standalone
 // Workspace.Solve of that column would have added to its SolveStats —
 // so callers can keep per-scenario metrics batch-invariant.
 type ColumnResult struct {
-	// Iterations counts iterative-solver iterations spent on the column
-	// (0 for the direct backend's triangular sweeps).
-	Iterations int
 	// EarlyExit reports that the warm-start guess (or a zero rhs)
 	// already satisfied the tolerance and the column skipped all solver
 	// work.
@@ -39,27 +40,24 @@ type ColumnResult struct {
 	Err error
 }
 
-// BatchWorkspace solves lockstep multi-RHS systems against one prepared
-// matrix. Like Workspace, a BatchWorkspace owns its scratch buffers
-// (grown on demand to the widest batch seen) and is not safe for
-// concurrent use; the shared Factorization behind it is.
-type BatchWorkspace interface {
-	// SolveBatch solves A·dst[j] = b[j] for every column j, warm-started
-	// from x0[j] (x0 may be nil, as may individual columns). res must
-	// have len(dst) entries; res[j] reports column j's outcome. Column
-	// results are bit-identical to Workspace.Solve on the same inputs,
-	// whatever the batch composition.
-	SolveBatch(dst, b, x0 [][]float64, res []ColumnResult)
+// BatchFactorization is implemented by factorizations whose solves
+// block across right-hand sides: only the direct backend's LU factors.
+type BatchFactorization interface {
+	Factorization
+	// NewBatchWorkspace returns a fresh lockstep multi-RHS workspace
+	// backed by this shared factorization: column results are
+	// bit-identical to NewWorkspace().Solve on the same inputs.
+	NewBatchWorkspace() *BatchWorkspace
 }
 
 // checkColumn validates one column's slices, recording a per-column
-// error. It mirrors the length checks of the solo Solve paths.
-func checkColumn(backend string, n int, dst, b, x0 []float64) error {
+// error. It mirrors the length checks of the solo Solve path.
+func checkColumn(n int, dst, b, x0 []float64) error {
 	if len(dst) != n || len(b) != n {
-		return fmt.Errorf("mat: %s SolveBatch column length dst=%d b=%d != n %d", backend, len(dst), len(b), n)
+		return fmt.Errorf("mat: direct SolveBatch column length dst=%d b=%d != n %d", len(dst), len(b), n)
 	}
 	if x0 != nil && len(x0) != n {
-		return fmt.Errorf("mat: %s SolveBatch guess length %d != n %d", backend, len(x0), n)
+		return fmt.Errorf("mat: direct SolveBatch guess length %d != n %d", len(x0), n)
 	}
 	return nil
 }
@@ -102,62 +100,6 @@ func mulVecLanes(a *Sparse, y, x []float64, w int, lanes []int) {
 			for _, l := range lanes {
 				yi[l] += v * xk[l]
 			}
-		}
-	}
-}
-
-// applyLanes computes dst = (LU)⁻¹·v on the given lanes, mirroring
-// ILU.Apply sweep-for-sweep over the same schedule.
-func (f *ILU) applyLanes(dst, v []float64, w int, lanes []int) {
-	fw := &f.sched.fwd
-	lo := 0
-	for k, i := range fw.rows {
-		hi := fw.end[k]
-		di := dst[i*w : i*w+w]
-		vi := v[i*w : i*w+w]
-		for _, l := range lanes {
-			di[l] = vi[l]
-		}
-		for q := lo; q < hi; q++ {
-			lv := f.lVal[q]
-			dk := dst[fw.idx[q]*w : fw.idx[q]*w+w]
-			for _, l := range lanes {
-				di[l] -= lv * dk[l]
-			}
-		}
-		lo = hi
-	}
-	bw := &f.sched.bwd
-	lo = 0
-	for k, i := range bw.rows {
-		hi := bw.end[k]
-		di := dst[i*w : i*w+w]
-		for q := lo; q < hi; q++ {
-			uv := f.uVal[q]
-			dk := dst[bw.idx[q]*w : bw.idx[q]*w+w]
-			for _, l := range lanes {
-				di[l] -= uv * dk[l]
-			}
-		}
-		d := f.dVal[k]
-		for _, l := range lanes {
-			di[l] /= d
-		}
-		lo = hi
-	}
-}
-
-// dotLanes computes acc[l] = Σ_i a[i*w+l]·b[i*w+l] per lane, row order
-// ascending — the accumulation order of Dot.
-func dotLanes(acc, a, b []float64, n, w int, lanes []int) {
-	for _, l := range lanes {
-		acc[l] = 0
-	}
-	for i := 0; i < n; i++ {
-		ai := a[i*w : i*w+w]
-		bi := b[i*w : i*w+w]
-		for _, l := range lanes {
-			acc[l] += ai[l] * bi[l]
 		}
 	}
 }
@@ -266,28 +208,34 @@ func (f *SparseLU) SolveBlock(dst, b [][]float64, cols []int, xb []float64) {
 
 // --- direct backend --------------------------------------------------
 
-// directBatchWS is the blocked multi-RHS workspace of the direct
-// backend: per-column warm-start checks, then one blocked
-// back-substitution over the shared LU factors for the columns that
-// still need solving.
-type directBatchWS struct {
+// BatchWorkspace solves lockstep multi-RHS systems against one shared
+// direct factorization: per-column warm-start checks, then one blocked
+// back-substitution over the LU factors for the columns that still need
+// solving. Like Workspace, a BatchWorkspace owns its scratch buffers
+// (grown on demand to the widest batch seen) and is not safe for
+// concurrent use; the shared factorization behind it is.
+type BatchWorkspace struct {
 	f          *directFact
 	xb, rb     []float64 // blocked buffers (guesses/residuals, then sweep)
 	bnorm, acc []float64
 	cols, cand []int
 }
 
-// NewBatchWorkspace implements Factorization.
-func (f *directFact) NewBatchWorkspace() BatchWorkspace {
-	return &directBatchWS{f: f}
+// NewBatchWorkspace implements BatchFactorization.
+func (f *directFact) NewBatchWorkspace() *BatchWorkspace {
+	return &BatchWorkspace{f: f}
 }
 
-// SolveBatch implements BatchWorkspace. The warm-start residual screen
-// — dead cheap per solve, but a full matrix traversal per column when
-// done solo — is blocked across all warm-started columns: the matrix
-// streams once, and each column's residual accumulates in the exact
-// row order of the solo MulVec/Sub/Norm2 sequence.
-func (w *directBatchWS) SolveBatch(dst, b, x0 [][]float64, res []ColumnResult) {
+// SolveBatch solves A·dst[j] = b[j] for every column j, warm-started
+// from x0[j] (x0 may be nil, as may individual columns). res must have
+// len(dst) entries; res[j] reports column j's outcome. Column results
+// are bit-identical to Workspace.Solve on the same inputs, whatever the
+// batch composition. The warm-start residual screen — dead cheap per
+// solve, but a full matrix traversal per column when done solo — is
+// blocked across all warm-started columns: the matrix streams once, and
+// each column's residual accumulates in the exact row order of the solo
+// MulVec/Sub/Norm2 sequence.
+func (w *BatchWorkspace) SolveBatch(dst, b, x0 [][]float64, res []ColumnResult) {
 	n := w.f.a.N()
 	width := len(dst)
 	w.cols = w.cols[:0]
@@ -295,7 +243,7 @@ func (w *directBatchWS) SolveBatch(dst, b, x0 [][]float64, res []ColumnResult) {
 	for j := range dst {
 		res[j] = ColumnResult{}
 		x0j := column(x0, j)
-		if err := checkColumn(BackendDirect, n, dst[j], b[j], x0j); err != nil {
+		if err := checkColumn(n, dst[j], b[j], x0j); err != nil {
 			res[j].Err = err
 			continue
 		}
@@ -348,299 +296,4 @@ func (w *directBatchWS) SolveBatch(dst, b, x0 [][]float64, res []ColumnResult) {
 	}
 	w.xb = grow(w.xb, n*len(w.cols))
 	w.f.f.SolveBlock(dst, b, w.cols, w.xb)
-}
-
-// --- bicgstab backend ------------------------------------------------
-
-// bicgstabBatchWS runs the preconditioned BiCGSTAB iteration on every
-// column in lockstep: the preconditioner application and the mat-vecs
-// are blocked across the active columns (the factor/matrix entries are
-// streamed once per iteration for the whole block), while the scalar
-// recurrences, convergence tests and breakdown restarts stay
-// per-column, so each column walks exactly the iteration trajectory a
-// solo Solve would.
-type bicgstabBatchWS struct {
-	f *bicgstabFact
-	n int
-
-	// Blocked iteration state (n·w each).
-	x, r, rhat, v, p, phat, s, shat, t []float64
-	// Per-column scalars.
-	rho, alpha, omega, bnorm, acc, acc2 []float64
-	lanes, keep                         []int
-}
-
-// NewBatchWorkspace implements Factorization.
-func (f *bicgstabFact) NewBatchWorkspace() BatchWorkspace {
-	return &bicgstabBatchWS{f: f, n: f.a.N()}
-}
-
-func (w *bicgstabBatchWS) alloc(width int) {
-	nw := w.n * width
-	w.x = grow(w.x, nw)
-	w.r = grow(w.r, nw)
-	w.rhat = grow(w.rhat, nw)
-	w.v = grow(w.v, nw)
-	w.p = grow(w.p, nw)
-	w.phat = grow(w.phat, nw)
-	w.s = grow(w.s, nw)
-	w.shat = grow(w.shat, nw)
-	w.t = grow(w.t, nw)
-	w.rho = grow(w.rho, width)
-	w.alpha = grow(w.alpha, width)
-	w.omega = grow(w.omega, width)
-	w.bnorm = grow(w.bnorm, width)
-	w.acc = grow(w.acc, width)
-	w.acc2 = grow(w.acc2, width)
-}
-
-// scatter writes lane l of the blocked solution back into dst.
-func (w *bicgstabBatchWS) scatter(dst []float64, width, l int) {
-	for i := 0; i < w.n; i++ {
-		dst[i] = w.x[i*width+l]
-	}
-}
-
-// SolveBatch implements BatchWorkspace.
-func (w *bicgstabBatchWS) SolveBatch(dst, b, x0 [][]float64, res []ColumnResult) {
-	n := w.n
-	width := len(dst)
-	w.alloc(width)
-	w.lanes = w.lanes[:0]
-	for j := range dst {
-		res[j] = ColumnResult{}
-		x0j := column(x0, j)
-		if err := checkColumn(BackendBiCGSTAB, n, dst[j], b[j], x0j); err != nil {
-			res[j].Err = err
-			continue
-		}
-		// x = x0 (or 0), exactly as the solo path seeds dst.
-		if x0j != nil {
-			for i := 0; i < n; i++ {
-				w.x[i*width+j] = x0j[i]
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				w.x[i*width+j] = 0
-			}
-		}
-		w.lanes = append(w.lanes, j)
-	}
-	if len(w.lanes) == 0 {
-		return
-	}
-
-	// r = b − A·x, blocked; per-lane norms in solo order.
-	mulVecLanes(w.f.a, w.r, w.x, width, w.lanes)
-	for i := 0; i < n; i++ {
-		ri := w.r[i*width : i*width+width]
-		for _, l := range w.lanes {
-			ri[l] = b[l][i] - ri[l]
-		}
-	}
-	w.keep = w.keep[:0]
-	for _, l := range w.lanes {
-		w.bnorm[l] = Norm2(b[l])
-		if w.bnorm[l] == 0 {
-			Fill(dst[l], 0)
-			res[l].EarlyExit = true
-			continue
-		}
-		dotLanes(w.acc, w.r, w.r, n, width, []int{l})
-		if math.Sqrt(w.acc[l])/w.bnorm[l] <= w.f.tol {
-			w.scatter(dst[l], width, l)
-			res[l].EarlyExit = true
-			continue
-		}
-		w.keep = append(w.keep, l)
-	}
-	w.lanes, w.keep = w.keep, w.lanes
-	if len(w.lanes) == 0 {
-		return
-	}
-
-	for i := 0; i < n; i++ {
-		base := i * width
-		for _, l := range w.lanes {
-			w.rhat[base+l] = w.r[base+l]
-			w.v[base+l] = 0
-			w.p[base+l] = 0
-		}
-	}
-	for _, l := range w.lanes {
-		w.rho[l], w.alpha[l], w.omega[l] = 1, 1, 1
-	}
-
-	maxIter := w.f.maxIter
-	for it := 0; it < maxIter && len(w.lanes) > 0; it++ {
-		for _, l := range w.lanes {
-			res[l].Iterations++
-		}
-		// rhoNew per lane, with the solo breakdown/restart handling.
-		dotLanes(w.acc, w.rhat, w.r, n, width, w.lanes)
-		w.keep = w.keep[:0]
-		for _, l := range w.lanes {
-			rhoNew := w.acc[l]
-			if math.Abs(rhoNew) < 1e-300 {
-				// Breakdown: restart with the current residual.
-				for i := 0; i < n; i++ {
-					w.rhat[i*width+l] = w.r[i*width+l]
-				}
-				dotLanes(w.acc2, w.rhat, w.r, n, width, []int{l})
-				rhoNew = w.acc2[l]
-				if math.Abs(rhoNew) < 1e-300 {
-					w.scatter(dst[l], width, l)
-					res[l].Err = ErrNoConvergence
-					continue
-				}
-				for i := 0; i < n; i++ {
-					w.p[i*width+l] = 0
-				}
-				w.rho[l], w.alpha[l], w.omega[l] = 1, 1, 1
-			}
-			beta := (rhoNew / w.rho[l]) * (w.alpha[l] / w.omega[l])
-			w.rho[l] = rhoNew
-			// p = r + beta·(p − omega·v), lane-local scalars.
-			for i := 0; i < n; i++ {
-				base := i * width
-				w.p[base+l] = w.r[base+l] + beta*(w.p[base+l]-w.omega[l]*w.v[base+l])
-			}
-			w.keep = append(w.keep, l)
-		}
-		w.lanes, w.keep = w.keep, w.lanes
-		if len(w.lanes) == 0 {
-			break
-		}
-
-		w.f.applyBlocked(w.phat, w.p, width, w.lanes)
-		mulVecLanes(w.f.a, w.v, w.phat, width, w.lanes)
-		dotLanes(w.acc, w.rhat, w.v, n, width, w.lanes)
-		w.keep = w.keep[:0]
-		for _, l := range w.lanes {
-			den := w.acc[l]
-			if den == 0 {
-				w.scatter(dst[l], width, l)
-				res[l].Err = ErrNoConvergence
-				continue
-			}
-			w.alpha[l] = w.rho[l] / den
-			for i := 0; i < n; i++ {
-				base := i * width
-				w.s[base+l] = w.r[base+l] - w.alpha[l]*w.v[base+l]
-			}
-			dotLanes(w.acc2, w.s, w.s, n, width, []int{l})
-			if math.Sqrt(w.acc2[l])/w.bnorm[l] <= w.f.tol {
-				// Converged mid-iteration: x += alpha·phat and finish.
-				for i := 0; i < n; i++ {
-					base := i * width
-					w.x[base+l] += w.alpha[l] * w.phat[base+l]
-				}
-				w.scatter(dst[l], width, l)
-				continue
-			}
-			w.keep = append(w.keep, l)
-		}
-		w.lanes, w.keep = w.keep, w.lanes
-		if len(w.lanes) == 0 {
-			break
-		}
-
-		w.f.applyBlocked(w.shat, w.s, width, w.lanes)
-		mulVecLanes(w.f.a, w.t, w.shat, width, w.lanes)
-		dotLanes(w.acc, w.t, w.t, n, width, w.lanes)
-		dotLanes(w.acc2, w.t, w.s, n, width, w.lanes)
-		w.keep = w.keep[:0]
-		for _, l := range w.lanes {
-			tt := w.acc[l]
-			if tt == 0 {
-				w.scatter(dst[l], width, l)
-				res[l].Err = ErrNoConvergence
-				continue
-			}
-			w.omega[l] = w.acc2[l] / tt
-			for i := 0; i < n; i++ {
-				base := i * width
-				w.x[base+l] += w.alpha[l]*w.phat[base+l] + w.omega[l]*w.shat[base+l]
-			}
-			for i := 0; i < n; i++ {
-				base := i * width
-				w.r[base+l] = w.s[base+l] - w.omega[l]*w.t[base+l]
-			}
-			dotLanes(w.acc2, w.r, w.r, n, width, []int{l})
-			rres := math.Sqrt(w.acc2[l]) / w.bnorm[l]
-			if rres <= w.f.tol {
-				w.scatter(dst[l], width, l)
-				continue
-			}
-			if w.omega[l] == 0 || math.IsNaN(rres) || math.IsInf(rres, 0) {
-				w.scatter(dst[l], width, l)
-				res[l].Err = ErrNoConvergence
-				continue
-			}
-			w.keep = append(w.keep, l)
-		}
-		w.lanes, w.keep = w.keep, w.lanes
-	}
-	for _, l := range w.lanes {
-		w.scatter(dst[l], width, l)
-		res[l].Err = ErrNoConvergence
-	}
-}
-
-// applyBlocked applies the factorization's preconditioner (ILU(0) or the
-// Jacobi fallback) to the given lanes of a blocked vector.
-func (f *bicgstabFact) applyBlocked(dst, v []float64, w int, lanes []int) {
-	if f.ilu != nil {
-		f.ilu.applyLanes(dst, v, w, lanes)
-		return
-	}
-	// Jacobi fallback: the scaling is element-wise, so the blocked form
-	// divides each lane by the same divisors in the same row order.
-	n := f.a.N()
-	d := f.jacobi
-	for i := 0; i < n; i++ {
-		di := dst[i*w : i*w+w]
-		vi := v[i*w : i*w+w]
-		for _, l := range lanes {
-			di[l] = vi[l] / d[i]
-		}
-	}
-}
-
-// --- gmres backend ---------------------------------------------------
-
-// gmresBatchWS advances columns sequentially through one reused
-// workspace: GMRES restart trajectories are data-dependent per column,
-// so the Krylov iteration itself does not lockstep; the batch seam still
-// shares the RCM ordering, the permuted matrix and the ILU
-// preconditioner across every column of the sweep, and reports the
-// per-column logical counters the batch engine needs.
-type gmresBatchWS struct {
-	f  *gmresFact
-	ws *gmresBackendWS
-}
-
-// NewBatchWorkspace implements Factorization.
-func (f *gmresFact) NewBatchWorkspace() BatchWorkspace {
-	return &gmresBatchWS{f: f, ws: f.NewWorkspace().(*gmresBackendWS)}
-}
-
-// SolveBatch implements BatchWorkspace.
-func (w *gmresBatchWS) SolveBatch(dst, b, x0 [][]float64, res []ColumnResult) {
-	n := w.f.pa.N()
-	for j := range dst {
-		res[j] = ColumnResult{}
-		x0j := column(x0, j)
-		if err := checkColumn(BackendGMRES, n, dst[j], b[j], x0j); err != nil {
-			res[j].Err = err
-			continue
-		}
-		iters, exits := w.ws.core.iterations, w.ws.core.earlyExits
-		err := w.ws.Solve(dst[j], b[j], x0j)
-		res[j] = ColumnResult{
-			Iterations: w.ws.core.iterations - iters,
-			EarlyExit:  w.ws.core.earlyExits > exits,
-			Err:        err,
-		}
-	}
 }

@@ -78,31 +78,79 @@ func batchRHS(a *Sparse, width int, seed int64) (b, x0 [][]float64) {
 	return b, x0
 }
 
+// sharedFactors factors a with every backend, keyed by backend name.
+// Only the direct backend's factorization blocks across columns; the
+// iterative backends' columns take their solo kernels, so their
+// factorizations must not offer a batch workspace.
+func sharedFactors(t *testing.T, a *Sparse, opt SolverOptions) map[string]Factorization {
+	t.Helper()
+	out := map[string]Factorization{}
+	for _, backend := range Backends() {
+		s, err := NewSolver(backend, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fact, err := s.(Factorizer).Factor(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fact.(BatchFactorization); ok != (backend == BackendDirect) {
+			t.Fatalf("%s factorization blocks = %v, want only direct to block", backend, ok)
+		}
+		out[backend] = fact
+	}
+	return out
+}
+
+// columnSolver solves a chunk of columns against one shared
+// factorization the way a lockstep step routes them
+// (thermal.BatchStepper): in one blocked pass when the factorization
+// blocks, otherwise column by column through one reused solo workspace,
+// as a transient stepper reuses its workspace step after step. iters
+// receives each column's iteration count.
+type columnSolver func(dst, b, x0 [][]float64, res []ColumnResult, iters []int)
+
+func newColumnSolver(fact Factorization) columnSolver {
+	if bf, ok := fact.(BatchFactorization); ok {
+		bw := bf.NewBatchWorkspace()
+		return func(dst, b, x0 [][]float64, res []ColumnResult, iters []int) {
+			bw.SolveBatch(dst, b, x0, res)
+			for j := range iters {
+				iters[j] = 0 // direct back-substitutions do not iterate
+			}
+		}
+	}
+	ws := fact.NewWorkspace()
+	return func(dst, b, x0 [][]float64, res []ColumnResult, iters []int) {
+		for j := range dst {
+			before := ws.Stats()
+			err := ws.Solve(dst[j], b[j], column(x0, j))
+			after := ws.Stats()
+			res[j] = ColumnResult{EarlyExit: after.EarlyExits > before.EarlyExits, Err: err}
+			iters[j] = after.Iterations - before.Iterations
+		}
+	}
+}
+
 // TestSolveBatchBitIdentical pins the core multi-RHS contract: for every
-// backend, SolveBatch column results — solutions, per-column counters
-// and errors — are bit-identical to a standalone Workspace.Solve of the
-// same column, whatever the batch width or composition.
+// backend, the column results of a lockstep chunk — solutions, iteration
+// counts, early exits and errors — are bit-identical to a standalone
+// Workspace.Solve of the same column, whatever the batch width or
+// composition. Direct columns solve blocked (SolveBatch); iterative
+// columns solve solo on a workspace shared across the chunk.
 func TestSolveBatchBitIdentical(t *testing.T) {
 	a := batchTestSystem(24)
 	n := a.N()
 	const width = 9
-	for _, backend := range Backends() {
+	for backend, fact := range sharedFactors(t, a, SolverOptions{Tol: 1e-10}) {
 		t.Run(backend, func(t *testing.T) {
-			s, err := NewSolver(backend, SolverOptions{Tol: 1e-10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fz := s.(Factorizer)
-			fact, err := fz.Factor(a)
-			if err != nil {
-				t.Fatal(err)
-			}
 			b, x0 := batchRHS(a, width, 42)
 
 			// Solo reference: a fresh workspace per column, like one
 			// transient stepper per scenario.
 			ref := make([][]float64, width)
 			refRes := make([]ColumnResult, width)
+			refIters := make([]int, width)
 			for j := 0; j < width; j++ {
 				ws := fact.NewWorkspace()
 				before := ws.Stats()
@@ -110,30 +158,32 @@ func TestSolveBatchBitIdentical(t *testing.T) {
 				err := ws.Solve(ref[j], b[j], x0[j])
 				after := ws.Stats()
 				refRes[j] = ColumnResult{
-					Iterations: after.Iterations - before.Iterations,
-					EarlyExit:  after.EarlyExits > before.EarlyExits,
-					Err:        err,
+					EarlyExit: after.EarlyExits > before.EarlyExits,
+					Err:       err,
 				}
+				refIters[j] = after.Iterations - before.Iterations
 			}
 
 			for _, split := range [][]int{{width}, {1, width - 1}, {3, 3, 3}, {width - 2, 2}} {
-				bw := fact.NewBatchWorkspace()
+				solve := newColumnSolver(fact)
 				got := make([][]float64, width)
 				for j := range got {
 					got[j] = make([]float64, n)
 				}
 				res := make([]ColumnResult, width)
+				iters := make([]int, width)
 				at := 0
 				for _, sz := range split {
-					bw.SolveBatch(got[at:at+sz], b[at:at+sz], x0[at:at+sz], res[at:at+sz])
+					solve(got[at:at+sz], b[at:at+sz], x0[at:at+sz], res[at:at+sz], iters[at:at+sz])
 					at += sz
 				}
 				for j := 0; j < width; j++ {
 					if (res[j].Err == nil) != (refRes[j].Err == nil) {
 						t.Fatalf("split %v col %d: err %v, solo %v", split, j, res[j].Err, refRes[j].Err)
 					}
-					if res[j].Iterations != refRes[j].Iterations || res[j].EarlyExit != refRes[j].EarlyExit {
-						t.Fatalf("split %v col %d: counters %+v, solo %+v", split, j, res[j], refRes[j])
+					if res[j].EarlyExit != refRes[j].EarlyExit || iters[j] != refIters[j] {
+						t.Fatalf("split %v col %d: counters %+v iters %d, solo %+v iters %d",
+							split, j, res[j], iters[j], refRes[j], refIters[j])
 					}
 					for i := 0; i < n; i++ {
 						if got[j][i] != ref[j][i] {
@@ -147,22 +197,18 @@ func TestSolveBatchBitIdentical(t *testing.T) {
 }
 
 // TestSolveBatchColumnErrors checks that a malformed column fails alone:
-// its neighbours still solve bit-identically.
+// its neighbours in the chunk still solve bit-identically, on every
+// backend.
 func TestSolveBatchColumnErrors(t *testing.T) {
 	a := batchTestSystem(8)
 	n := a.N()
-	for _, backend := range Backends() {
+	for backend, fact := range sharedFactors(t, a, SolverOptions{}) {
 		t.Run(backend, func(t *testing.T) {
-			s, _ := NewSolver(backend, SolverOptions{})
-			fact, err := s.(Factorizer).Factor(a)
-			if err != nil {
-				t.Fatal(err)
-			}
 			b, x0 := batchRHS(a, 3, 7)
 			b[1] = b[1][:n-1] // malformed
 			dst := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
 			res := make([]ColumnResult, 3)
-			fact.NewBatchWorkspace().SolveBatch(dst, b, x0, res)
+			newColumnSolver(fact)(dst, b, x0, res, make([]int, 3))
 			if res[1].Err == nil {
 				t.Fatal("malformed column did not error")
 			}

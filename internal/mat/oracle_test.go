@@ -10,10 +10,10 @@ import (
 // This file keeps the natural-order CSR forms of the bicgstab backend's
 // solo kernels as test oracles: ILU(0) factored and swept over CSR
 // values, the plain indexed mat-vec, and the unfused BiCGSTAB iteration.
-// The production kernels (ILU.Apply, ILU.applyLanes, Sparse.MulVec and
-// bicgstabWS.Solve) reorder rows and fuse vector passes, but they must
-// perform the same floating-point operations in the same order, so their
-// results match these oracles bit for bit on every input.
+// The production kernels (ILU.Apply, Sparse.MulVec and bicgstabWS.Solve)
+// reorder rows and fuse vector passes, but they must perform the same
+// floating-point operations in the same order, so their results match
+// these oracles bit for bit on every input.
 
 // csrILU is ILU(0) over a CSR copy of the matrix values.
 type csrILU struct {
@@ -371,53 +371,6 @@ func TestILUApplyMatchesCSRSweep(t *testing.T) {
 		oracleMulVec(a, want, x)
 		if i := firstBitDiff(got, want); i >= 0 {
 			t.Fatalf("MulVec row %d = %v, indexed loop %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestApplyLanesMatchesCSRSweep pins the lockstep sweep: every listed
-// lane matches the CSR sweep of its column bit for bit, and unlisted
-// lanes are left untouched.
-func TestApplyLanesMatchesCSRSweep(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	const w = 5
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(60)
-		a := randomPatternSystem(rng, n, 0.05+0.2*rng.Float64(), true)
-		f, err := NewILU(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o, err := newCSRILU(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vb := randomVec(rng, n*w)
-		for _, lanes := range [][]int{{0, 1, 2, 3, 4}, {2}, {4, 0, 3}, {}} {
-			const sentinel = -7.25
-			dst := make([]float64, n*w)
-			Fill(dst, sentinel)
-			f.applyLanes(dst, vb, w, lanes)
-			listed := make([]bool, w)
-			for _, l := range lanes {
-				listed[l] = true
-			}
-			col, want := make([]float64, n), make([]float64, n)
-			for l := 0; l < w; l++ {
-				for i := 0; i < n; i++ {
-					col[i] = vb[i*w+l]
-				}
-				o.apply(want, col)
-				for i := 0; i < n; i++ {
-					got := dst[i*w+l]
-					if listed[l] && !sameBits(got, want[i]) {
-						t.Fatalf("trial %d lanes %v: lane %d row %d = %v, CSR sweep %v", trial, lanes, l, i, got, want[i])
-					}
-					if !listed[l] && got != sentinel {
-						t.Fatalf("trial %d lanes %v: unlisted lane %d row %d written", trial, lanes, l, i)
-					}
-				}
-			}
 		}
 	}
 }

@@ -31,14 +31,13 @@ import (
 // A PrepCache is safe for concurrent use; concurrent requests for the
 // same matrix single-flight the factorisation.
 type PrepCache struct {
-	mu       sync.Mutex
-	max      int
-	coldOnly bool
-	entries  map[string][]*prepEntry
-	ords     map[string][]*ordEntry
-	ordAggs  map[string]*ordAgg
-	n        int
-	stats    PrepStats
+	mu      sync.Mutex
+	max     int
+	entries map[string][]*prepEntry
+	ords    map[string][]*ordEntry
+	ordAggs map[string]*ordAgg
+	n       int
+	stats   PrepStats
 }
 
 type prepEntry struct {
@@ -147,21 +146,6 @@ func NewPrepCache(maxEntries int) *PrepCache {
 	}
 }
 
-// SetColdOnly makes the cache ignore numeric-refresh hints
-// (PrepareFactPrior priors): every miss cold-factors instead of
-// refactoring from the prior. Refactorisation is bit-identical to a
-// cold factor, so the toggle never changes results — it is the
-// cold-factor-vs-refactor execution knob the cost-based sweep planner
-// (internal/plan) weighs per group. Set it before the cache is shared.
-func (c *PrepCache) SetColdOnly(cold bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.coldOnly = cold
-	c.mu.Unlock()
-}
-
 // Len reports the number of cached factorizations.
 func (c *PrepCache) Len() int {
 	if c == nil {
@@ -262,11 +246,6 @@ func factorWith(fz Factorizer, a *Sparse, prior Factorization) (Factorization, b
 // ordering-aware backends go through the per-pattern ordering memo, and
 // the physical preparation is wall-clocked for the per-ordering stats.
 func (c *PrepCache) factorTimed(fz Factorizer, a *Sparse, prior Factorization) (Factorization, bool, int64, error) {
-	c.mu.Lock()
-	if c.coldOnly {
-		prior = nil
-	}
-	c.mu.Unlock()
 	start := time.Now()
 	if prior != nil {
 		if rf, ok := fz.(Refactorer); ok {

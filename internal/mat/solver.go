@@ -89,11 +89,6 @@ type Factorization interface {
 	// preparation was shared. Physical factorisation counts live in
 	// PrepStats.
 	NewWorkspace() Workspace
-	// NewBatchWorkspace returns a fresh lockstep multi-RHS workspace
-	// backed by this shared factorization (see BatchWorkspace): column
-	// results are bit-identical to NewWorkspace().Solve on the same
-	// inputs.
-	NewBatchWorkspace() BatchWorkspace
 }
 
 // Factorizer is implemented by backends whose Prepare splits into an
@@ -321,9 +316,7 @@ func (s bicgstabSolver) Name() string { return BackendBiCGSTAB }
 func (s bicgstabSolver) FactorKey() string { return factorKey(BackendBiCGSTAB, s.opt) }
 
 // bicgstabFact is the shareable prepared form: the matrix and its ILU(0)
-// (or Jacobi-fallback) preconditioner, both immutable. The
-// preconditioner is held structurally (not as a closure) so the batch
-// workspace can apply it blocked across a whole column set.
+// (or Jacobi-fallback) preconditioner, both immutable.
 type bicgstabFact struct {
 	a        *Sparse
 	tol      float64

@@ -242,113 +242,6 @@ func TestResultsQueryAfterRestart(t *testing.T) {
 	}
 }
 
-// TestSweepExplainFlag: ?explain=1 attaches the planner's per-group
-// candidate tables to the sweep report; plain requests stay free of
-// wall-time-bearing plan blocks.
-func TestSweepExplainFlag(t *testing.T) {
-	_, ts := newTestServer(t)
-	body := `{"grid":{"coolings":["liquid"],"workloads":["web"],"policies":["LB","TDVFS_LB"],"steps":2,"grid":8}}`
-
-	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := decode[map[string]any](t, resp, http.StatusOK)
-	if _, ok := plain["plan"]; ok {
-		t.Fatalf("plain sweep carries a plan block: %v", plain["plan"])
-	}
-
-	resp, err = http.Post(ts.URL+"/v1/sweeps?explain=1", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	explained := decode[map[string]any](t, resp, http.StatusOK)
-	planBlock, ok := explained["plan"].(map[string]any)
-	if !ok || planBlock["planned"] != true {
-		t.Fatalf("explained sweep plan block: %v", explained["plan"])
-	}
-	groups, _ := planBlock["groups"].([]any)
-	if len(groups) != 1 {
-		t.Fatalf("plan groups: %v", planBlock["groups"])
-	}
-	g := groups[0].(map[string]any)
-	if g["actual_ns"].(float64) <= 0 {
-		t.Fatalf("explained group without measured cost: %v", g)
-	}
-	decision := g["decision"].(map[string]any)
-	expl, ok := decision["explain"].(map[string]any)
-	if !ok {
-		t.Fatalf("decision without candidate table: %v", decision)
-	}
-	cands, _ := expl["candidates"].([]any)
-	if len(cands) == 0 {
-		t.Fatalf("empty candidate table: %v", expl)
-	}
-	chosen, feasible, advisory := 0, 0, 0
-	for _, c := range cands {
-		row := c.(map[string]any)
-		if row["chosen"] == true {
-			chosen++
-		}
-		if row["feasible"] == true {
-			feasible++
-		} else {
-			advisory++
-		}
-		if row["est_ns"].(float64) <= 0 {
-			t.Fatalf("candidate without estimate: %v", row)
-		}
-	}
-	if chosen != 1 || feasible == 0 || advisory == 0 {
-		t.Fatalf("candidate table: %d chosen, %d feasible, %d advisory", chosen, feasible, advisory)
-	}
-}
-
-// TestStatsPlannerBlock: /v1/stats reports the planner's model source
-// and group counters, and DisablePlanner removes both the block and
-// the planning.
-func TestStatsPlannerBlock(t *testing.T) {
-	_, ts := newTestServer(t)
-	runSweep(t, ts.URL)
-	raw, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := decode[map[string]any](t, raw, http.StatusOK)
-	block, ok := stats["planner"].(map[string]any)
-	if !ok {
-		t.Fatalf("/v1/stats without planner block: %v", stats["planner"])
-	}
-	got := map[string]bool{}
-	jsonKeyPaths("", block, got)
-	for _, path := range []string{
-		"source", "calibrations", "groups_planned", "observed", "est_ns_total", "actual_ns_total",
-	} {
-		if !got[path] {
-			t.Fatalf("planner block missing %q: %v", path, block)
-		}
-	}
-	if block["groups_planned"].(float64) < 2 || block["observed"].(float64) < 2 {
-		t.Fatalf("planner block did not see the sweep's groups: %v", block)
-	}
-	if src, _ := block["source"].(string); src == "" {
-		t.Fatalf("planner block without model source: %v", block)
-	}
-
-	s2 := New(Options{Workers: 2, QueueDepth: 16, DisablePlanner: true})
-	ts2 := httptest.NewServer(s2.Handler())
-	defer func() { ts2.Close(); s2.Close() }()
-	runSweep(t, ts2.URL)
-	raw, err = http.Get(ts2.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats = decode[map[string]any](t, raw, http.StatusOK)
-	if _, ok := stats["planner"]; ok {
-		t.Fatal("planner block present with DisablePlanner")
-	}
-}
-
 // TestQueryFieldCatalogMatchesRecords keeps FieldHelp, the query
 // engine and the HTTP field validation in sync: every default field is
 // documented and known.

@@ -28,10 +28,10 @@
 // through the batched sweep engine (internal/sweep): scenarios are
 // grouped structurally and each group shares one factor cache, so an
 // N-point sweep pays for O(distinct matrices) factorizations instead of
-// O(N). Transient grids additionally advance in lockstep
-// (sweep.Engine.RunTransient): structurally identical scenarios share
-// matrix assemblies and step through blocked multi-RHS solves, with
-// results byte-identical to per-scenario stepping. The per-sweep
+// O(N). Transient grids and the Fig. 6/7 studies run through
+// sweep.Engine.RunTransient: each lockstep group also shares matrix
+// assemblies, and direct groups step through blocked multi-RHS solves,
+// with results byte-identical to per-scenario stepping. The per-sweep
 // sharing and batching outcome rides in every response and is folded
 // into /v1/stats.
 package server
@@ -51,7 +51,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/jobs"
 	"repro/internal/mat"
-	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -99,17 +98,6 @@ type Options struct {
 	// Async submissions (?async=1) are exempt — their work outlives the
 	// submitting request by design.
 	RequestTimeout time.Duration
-	// DisablePlanner turns the cost-based sweep planner off: transient
-	// sweeps then run the engine's fixed defaults. Planned and unplanned
-	// sweeps return byte-identical results — the planner only picks
-	// result-invariant execution knobs — so this is a performance
-	// switch, not a semantic one.
-	DisablePlanner bool
-	// BenchDir is the directory searched for committed BENCH_*.json
-	// cost-model snapshots ("" = current directory). When none parses,
-	// the planner falls back to built-in defaults refined by
-	// self-calibration at first use.
-	BenchDir string
 }
 
 // Server is the simulation service. Construct with New, mount Handler,
@@ -124,7 +112,6 @@ type Server struct {
 	defaultSolver   string
 	defaultOrdering string
 	store           *store.Store
-	planner         *plan.Planner
 	results         *resultsRegistry
 	reqTimeout      time.Duration
 	admit           *admission
@@ -174,17 +161,6 @@ func New(opt Options) *Server {
 		}
 	})
 	s.sweeps = &sweep.Engine{Pool: s.pool, Cache: s.cache}
-	if !opt.DisablePlanner {
-		dir := opt.BenchDir
-		if dir == "" {
-			dir = "."
-		}
-		// LoadLatest always returns a usable model; the error only says
-		// why it fell back to defaults (then refined by self-calibration).
-		model, _ := plan.LoadLatest(dir)
-		s.planner = plan.New(model)
-		s.sweeps.Planner = s.planner
-	}
 	s.results = newResultsRegistry(opt.Store)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -392,11 +368,6 @@ type StatsResponse struct {
 	// compute-endpoint overload guard: in-flight/queued gauges and
 	// admitted/shed counters.
 	Admission *AdmissionStats `json:"admission,omitempty"`
-	// Planner, present when the cost-based sweep planner is enabled,
-	// reports its cost-model provenance and cumulative estimate-vs-
-	// actual totals (actual is wall time: nondeterministic, so it lives
-	// only on this diagnostic surface).
-	Planner *plan.Stats `json:"planner,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -446,10 +417,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.admit != nil {
 		st := s.admit.stats()
 		resp.Admission = &st
-	}
-	if s.planner != nil {
-		ps := s.planner.Stats()
-		resp.Planner = &ps
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -700,7 +667,8 @@ type SweepStats struct {
 	Errors int `json:"errors"`
 	// CacheHits counts points served without a fresh solve.
 	CacheHits int `json:"cache_hits"`
-	// Groups counts structural groups.
+	// Groups counts sharing groups (lockstep groups of transient grids,
+	// one per steady sweep).
 	Groups int `json:"groups"`
 	// Prep aggregates physical preparation work: Factorizations paid,
 	// Shares avoided via per-group factor caches.
@@ -795,7 +763,6 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 		s.streamSweep(w, r, req, scenarios)
 		return
 	}
-	explain := wantFlag(r, "explain")
 	s.dispatch(w, r, "sweep", func(ctx context.Context) (any, error) {
 		if req.Steady != nil {
 			rep, err := s.sweeps.RunSteady(ctx, *req.Steady, nil)
@@ -805,13 +772,7 @@ func (s *Server) handleSweeps(w http.ResponseWriter, r *http.Request) {
 			s.recordSweep(rep.Scenarios, rep.Errors, 0, 1, rep.Prep, nil)
 			return rep, nil
 		}
-		run := s.sweeps.RunTransient
-		if explain {
-			// ?explain=1 attaches Report.Plan: the planner's per-group
-			// candidate tables with estimated and measured costs.
-			run = s.sweeps.RunTransientExplained
-		}
-		rep, err := run(ctx, scenarios, nil)
+		rep, err := s.sweeps.RunTransient(ctx, scenarios, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -387,8 +387,8 @@ func (r *Runner) Finish() (*Metrics, error) {
 // RunBatch advances every runner in lockstep: each interval runs every
 // live runner's control boundary, then the sensing sub-steps advance all
 // thermal states together through one thermal.BatchStepper, so
-// structurally identical scenarios at matching flows share blocked
-// multi-RHS solves. Per-runner failures (errs[i]) drop that runner from
+// structurally identical direct-backend scenarios at matching flows
+// share blocked multi-RHS solves. Per-runner failures (errs[i]) drop that runner from
 // the batch without touching its neighbours — results and metrics are
 // byte-identical to driving each runner solo (or to Run), whatever the
 // batch composition. Cancellation fails the remaining live runners with

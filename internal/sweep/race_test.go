@@ -66,7 +66,7 @@ func TestConcurrentSweepsShareEngine(t *testing.T) {
 			wg.Add(1)
 			go func(slot int, sc []jobs.Scenario) {
 				defer wg.Done()
-				reports[slot], errs[slot] = eng.Run(context.Background(), sc, nil)
+				reports[slot], errs[slot] = eng.RunTransient(context.Background(), sc, nil)
 			}(round*len(batches)+b, batches[b])
 		}
 	}

@@ -1,10 +1,14 @@
 // Package sweep is the batched scenario-sweep engine: it expands
-// parameter grids into scenario batches (Grid), groups scenarios by
-// structural key — same stack, thermal grid and solver backend mean the
-// same matrix sparsity pattern, and matching cavity flows mean the very
-// same left-hand side — and executes each group through a jobs.Pool with
-// one shared mat.PrepCache per group, so an N-point sweep pays for
-// O(distinct matrices) factorizations instead of O(N).
+// parameter grids into scenario batches (Grid) and runs every transient
+// batch through one path, RunTransient. Scenarios group by lockstep key
+// — same stack, thermal grid and solver backend mean the same matrix
+// sparsity pattern, matching cavity flows mean the very same left-hand
+// side, and the same trace length means the same step schedule — and
+// each group runs through a jobs.Pool with one shared mat.PrepCache and
+// one shared thermal.AssemblyCache, so an N-point sweep pays for
+// O(distinct matrices) factorizations instead of O(N). A direct group
+// also steps its chunks in lockstep through blocked multi-RHS solves;
+// every other backend steps solo (see Engine.RunTransient).
 //
 // The paper's headline results are exactly such sweeps (flow rates ×
 // workloads × stack configurations under the fuzzy controller), and the
@@ -16,7 +20,8 @@
 // deterministic, a shared factorization is bit-identical to a private
 // one, and workspace solver counters are logical (see mat.PrepCache) —
 // so the engine returns byte-identical results whether it runs on one
-// worker or sixteen, with or without sharing. Tests pin this.
+// worker or sixteen, at any batch width, with or without sharing. Tests
+// pin this.
 package sweep
 
 import (
@@ -39,33 +44,28 @@ const DefaultPrepEntries = 256
 
 // Engine executes scenario batches. The zero value works: a nil Pool
 // selects a GOMAXPROCS-wide default per call, a nil Cache disables
-// result memoization. One Engine may serve many concurrent Run calls —
-// the HTTP service holds exactly one.
+// result memoization. One Engine may serve many concurrent sweeps — the
+// HTTP service holds exactly one.
 type Engine struct {
-	// Pool bounds concurrent scenario execution across all Run calls.
+	// Pool bounds concurrent scenario execution across all sweeps.
 	Pool *jobs.Pool
 	// Cache memoizes scenario results under their content-addressed key.
 	Cache *jobs.Cache
 	// PrepEntries bounds each group's shared factor cache: 0 selects
 	// DefaultPrepEntries, negative is unbounded.
 	PrepEntries int
-	// BatchWidth bounds the scenarios one lockstep batch advances
-	// together in RunTransient: 0 selects DefaultBatchWidth, negative
-	// (or 1) steps every scenario solo. Each group splits into the
-	// fewest chunks of at most this width, sized evenly (see
-	// evenChunks). Results are identical for every width; the width
-	// only trades blocked-solve locality against cross-chunk
-	// parallelism.
+	// BatchWidth bounds the scenarios one lockstep batch of a direct
+	// group advances together in RunTransient: 0 selects
+	// DefaultBatchWidth, negative (or 1) steps every scenario solo.
+	// Each direct group splits into the fewest chunks of at most this
+	// width, sized evenly (see evenChunks); groups of every other
+	// backend step solo whatever the width (see chunkWidth). Results
+	// are identical for every width; the width only trades
+	// blocked-solve locality against cross-chunk parallelism.
 	BatchWidth int
 	// FailFast cancels the remaining scenarios of a batch after the
 	// first failure instead of completing the survivors.
 	FailFast bool
-	// Planner, when non-nil, picks each lockstep group's execution
-	// strategy in RunTransient — batch width, refactor reuse, assembly
-	// sharing — instead of the engine defaults (see Planner). Every
-	// plannable knob is result-invariant, so a planned sweep's results
-	// are byte-identical to an unplanned one.
-	Planner Planner
 
 	// Per-ordering factor wall-time aggregated across every sweep this
 	// engine has run. Wall time is inherently nondeterministic, so it
@@ -91,9 +91,8 @@ type Result struct {
 	Index int `json:"index"`
 	// Key is the scenario's content address (jobs.Scenario.Key).
 	Key string `json:"key"`
-	// Group labels the sharing group the scenario ran in: the
-	// structural key under Run, the lockstep key (structural key +
-	// trace length) under RunTransient.
+	// Group labels the sharing group the scenario ran in: its lockstep
+	// key (TransientKey: structural key + trace length).
 	Group string `json:"group"`
 	// Scenario echoes the normalized scenario.
 	Scenario jobs.Scenario `json:"scenario"`
@@ -109,9 +108,9 @@ type Result struct {
 	Err error `json:"-"`
 }
 
-// GroupStats reports one structural group's sharing outcome.
+// GroupStats reports one lockstep group's sharing outcome.
 type GroupStats struct {
-	// Key is the structural key.
+	// Key is the lockstep key (TransientKey).
 	Key string `json:"key"`
 	// Scenarios counts batch members in the group.
 	Scenarios int `json:"scenarios"`
@@ -120,9 +119,8 @@ type GroupStats struct {
 	// Prep counts the group's physical preparation work: Factorizations
 	// is what the group actually paid, Shares what it avoided.
 	Prep mat.PrepStats `json:"prep"`
-	// Assemblies counts the group's physical matrix-assembly work
-	// (RunTransient only — the lockstep engine additionally shares the
-	// assemblies themselves group-wide).
+	// Assemblies counts the group's physical matrix-assembly work (the
+	// group shares the assemblies themselves, like its factorizations).
 	Assemblies *thermal.AsmStats `json:"assemblies,omitempty"`
 }
 
@@ -130,7 +128,7 @@ type GroupStats struct {
 type Report struct {
 	// Results holds one entry per submitted scenario, in batch order.
 	Results []Result `json:"results"`
-	// Groups holds the structural groups in first-appearance order.
+	// Groups holds the lockstep groups in first-appearance order.
 	Groups []GroupStats `json:"groups"`
 	// Scenarios, Errors and CacheHits count batch outcomes.
 	Scenarios int `json:"scenarios"`
@@ -142,13 +140,8 @@ type Report struct {
 	Solver mat.SolveStats `json:"solver"`
 	// Prep aggregates the physical preparation work across groups.
 	Prep mat.PrepStats `json:"prep"`
-	// Batch reports the lockstep batching outcome (RunTransient only).
+	// Batch reports the lockstep batching outcome.
 	Batch *BatchReport `json:"batch,omitempty"`
-	// Plan is the plan-explanation block: per-group chosen strategies
-	// and measured costs. It is attached only by RunTransientExplained
-	// (wall times are nondeterministic — plain runs stay byte-identical
-	// and leave it nil).
-	Plan *PlanReport `json:"plan,omitempty"`
 	// SweepID is the content-addressed registry id the serving layer
 	// assigns when it records the sweep for /v1/results/query (a pure
 	// function of the scenario keys — deterministic). Nil-safe: the
@@ -162,7 +155,7 @@ type Report struct {
 type BatchReport struct {
 	thermal.BatchStats
 	// Chunks counts the lockstep batches the sweep was split into
-	// (≤ BatchWidth scenarios each, evenly sized within a group).
+	// (evenly sized within a group, at most chunkWidth scenarios each).
 	Chunks int `json:"chunks"`
 	// Assemblies aggregates the physical assembly work across groups.
 	Assemblies thermal.AsmStats `json:"assemblies"`
@@ -210,17 +203,10 @@ func FanOut[T any](ctx context.Context, pool *jobs.Pool, n int, eval func(ctx co
 	return values, errs, err
 }
 
-// group is one structural group during a run.
-type group struct {
-	key       string
-	prep      *mat.PrepCache
-	scenarios int
-}
-
 // plan is the normalized, validated, deduplicated form of one scenario
-// batch — the shared prologue of Run and RunTransient. Only first
-// occurrences of a content key run, so the computed/joined flags of
-// duplicates cannot depend on scheduling.
+// batch — RunTransient's prologue. Only first occurrences of a content
+// key run, so the computed/joined flags of duplicates cannot depend on
+// scheduling.
 type plan struct {
 	norm     []jobs.Scenario
 	keys     []string
@@ -300,129 +286,4 @@ func (e *Engine) OrderingFactorNs() map[string]int64 {
 		out[name] = v
 	}
 	return out
-}
-
-// Run executes a scenario batch: normalize and validate every scenario,
-// deduplicate identical ones (the first occurrence computes, the rest
-// reuse its result), group the distinct scenarios structurally, and fan
-// them across the pool with one shared factor cache per group. onResult,
-// when non-nil, observes every Result as it completes (any order, one
-// call at a time) — the streaming hook behind POST /v1/sweeps. The
-// returned Report lists results in batch order; it is byte-identical for
-// any worker count. Run fails fast only on validation errors, context
-// cancellation, or — with FailFast — the first scenario error.
-func (e *Engine) Run(ctx context.Context, scenarios []jobs.Scenario, onResult func(Result)) (*Report, error) {
-	p, err := newPlan(scenarios)
-	if err != nil {
-		return nil, err
-	}
-	n := len(p.norm)
-	norm, keys, distinct, dupsOf := p.norm, p.keys, p.distinct, p.dupsOf
-
-	// Group the distinct scenarios structurally; each group owns one
-	// factor cache for the whole batch.
-	groups := map[string]*group{}
-	var groupOrder []*group
-	groupOf := make([]*group, n)
-	for _, i := range distinct {
-		gk := StructuralKey(norm[i])
-		g := groups[gk]
-		if g == nil {
-			g = &group{key: gk, prep: e.newPrepCache()}
-			groups[gk] = g
-			groupOrder = append(groupOrder, g)
-		}
-		g.scenarios += 1 + len(dupsOf[i])
-		groupOf[i] = g
-	}
-
-	runCtx := ctx
-	var cancel context.CancelFunc
-	if e.FailFast {
-		runCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
-
-	results := make([]Result, n)
-	var emitMu sync.Mutex
-	emit := func(r Result) {
-		results[r.Index] = r
-		if onResult != nil {
-			emitMu.Lock()
-			onResult(r)
-			emitMu.Unlock()
-		}
-	}
-
-	pool := e.Pool
-	if pool == nil {
-		pool = jobs.NewPool(0)
-	}
-	_, _ = pool.Run(runCtx, len(distinct), func(ctx context.Context, di int) error {
-		i := distinct[di]
-		g := groupOf[i]
-		m, hit, err := e.Cache.MetricsWith(ctx, norm[i], g.prep)
-		r := Result{Index: i, Key: keys[i], Group: g.key, Scenario: norm[i], Metrics: m, CacheHit: hit}
-		if err != nil {
-			r.Err = err
-			r.Error = err.Error()
-			if cancel != nil {
-				cancel()
-			}
-		}
-		emit(r)
-		for _, d := range dupsOf[i] {
-			dr := r
-			dr.Index = d
-			if err == nil {
-				dr.Metrics = m.Clone()
-				dr.CacheHit = true
-			}
-			emit(dr)
-		}
-		return err
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Scenarios skipped by a fail-fast cancellation never ran their
-	// emitter: fill their slots so the report stays self-describing.
-	for _, i := range distinct {
-		if results[i].Key != "" {
-			continue
-		}
-		err := fmt.Errorf("sweep: skipped after batch failure: %w", context.Canceled)
-		for _, d := range append([]int{i}, dupsOf[i]...) {
-			results[d] = Result{Index: d, Key: keys[d], Group: groupOf[i].key,
-				Scenario: norm[d], Err: err, Error: err.Error()}
-		}
-	}
-
-	rep := &Report{Results: results, Scenarios: n}
-	for i := range results {
-		r := &results[i]
-		if r.Err != nil {
-			rep.Errors++
-			continue
-		}
-		if r.CacheHit {
-			rep.CacheHits++
-		}
-		if r.Metrics != nil {
-			rep.Solver.Accumulate(r.Metrics.Solver)
-		}
-	}
-	for _, g := range groupOrder {
-		gs := GroupStats{Key: g.key, Scenarios: g.scenarios, Distinct: g.prep.Len(), Prep: g.prep.Stats()}
-		rep.Groups = append(rep.Groups, gs)
-		rep.Prep.Accumulate(gs.Prep)
-		e.recordFactorNs(g.prep)
-	}
-	if e.FailFast && rep.Errors > 0 {
-		// Surface the root cause, not a skipped scenario's cancellation.
-		first := rep.FirstFailure()
-		return rep, fmt.Errorf("sweep: scenario %d (%s/%s/%s): %w", first,
-			norm[first].Cooling, norm[first].Policy, norm[first].Workload, results[first].Err)
-	}
-	return rep, nil
 }

@@ -11,8 +11,9 @@ import (
 	"repro/internal/mat"
 )
 
-// tinyGrid is an affordable transient batch spanning two structural
-// groups (air + liquid) with several scenarios per group.
+// tinyGrid is an affordable transient batch spanning two lockstep
+// groups (air + liquid, default bicgstab backend) with several scenarios
+// per group.
 func tinyGrid() Grid {
 	return Grid{
 		Coolings:  []string{"air", "liquid"},
@@ -32,7 +33,7 @@ func TestEngineRunMatchesPlainScenarios(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := &Engine{Pool: jobs.NewPool(4)}
-	rep, err := eng.Run(context.Background(), scenarios, nil)
+	rep, err := eng.RunTransient(context.Background(), scenarios, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestEngineRunByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := (&Engine{Pool: jobs.NewPool(1)}).Run(context.Background(), scenarios, nil)
+	seq, err := (&Engine{Pool: jobs.NewPool(1)}).RunTransient(context.Background(), scenarios, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := (&Engine{Pool: jobs.NewPool(8)}).Run(context.Background(), scenarios, nil)
+	par, err := (&Engine{Pool: jobs.NewPool(8)}).RunTransient(context.Background(), scenarios, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestEngineRunByteIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestEngineDeduplicatesIdenticalScenarios(t *testing.T) {
 	s := jobs.Scenario{Steps: 4, Grid: 8}
 	batch := []jobs.Scenario{s, s.Normalized(), s} // three spellings, one scenario
-	rep, err := (&Engine{}).Run(context.Background(), batch, nil)
+	rep, err := (&Engine{}).RunTransient(context.Background(), batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +112,11 @@ func TestEngineDeduplicatesIdenticalScenarios(t *testing.T) {
 }
 
 func TestEngineValidatesUpFront(t *testing.T) {
-	_, err := (&Engine{}).Run(context.Background(), []jobs.Scenario{{Tiers: 3}}, nil)
+	_, err := (&Engine{}).RunTransient(context.Background(), []jobs.Scenario{{Tiers: 3}}, nil)
 	if err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
-	if _, err := (&Engine{}).Run(context.Background(), nil, nil); err == nil {
+	if _, err := (&Engine{}).RunTransient(context.Background(), nil, nil); err == nil {
 		t.Fatal("empty batch accepted")
 	}
 }
@@ -124,7 +125,7 @@ func TestEngineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	scenarios, _ := tinyGrid().Expand()
-	if _, err := (&Engine{}).Run(ctx, scenarios, nil); !errors.Is(err, context.Canceled) {
+	if _, err := (&Engine{}).RunTransient(ctx, scenarios, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled sweep returned %v", err)
 	}
 }
@@ -136,7 +137,7 @@ func TestEngineStreamsEveryResult(t *testing.T) {
 		{Steps: 4, Grid: 8}, // duplicate of scenario 0
 	}
 	seen := map[int]bool{}
-	rep, err := (&Engine{Pool: jobs.NewPool(2)}).Run(context.Background(), scenarios, func(r Result) {
+	rep, err := (&Engine{Pool: jobs.NewPool(2)}).RunTransient(context.Background(), scenarios, func(r Result) {
 		if seen[r.Index] {
 			panic("result streamed twice")
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/jobs"
 	"repro/internal/mat"
@@ -13,9 +12,10 @@ import (
 	"repro/internal/thermal"
 )
 
-// DefaultBatchWidth bounds one lockstep batch: wide enough that the
-// blocked multi-RHS solves amortise the factor traversal, narrow enough
-// that a big sweep still fans across the pool's workers.
+// DefaultBatchWidth bounds one lockstep batch of a direct group: wide
+// enough that the blocked multi-RHS solves amortise the factor
+// traversal, narrow enough that a big sweep still fans across the
+// pool's workers.
 const DefaultBatchWidth = 32
 
 // TransientKey names the scenario properties that must coincide for
@@ -29,23 +29,27 @@ func TransientKey(s jobs.Scenario) string {
 }
 
 // tgroup is one lockstep group during a transient run: the sharing
-// caches every chunk of the group plugs into (as the planner decided),
-// plus the accumulated batching counters and wall time.
+// caches every chunk of the group plugs into, plus the accumulated
+// batching counters.
 type tgroup struct {
 	key       string
 	prep      *mat.PrepCache
 	asm       *thermal.AssemblyCache
 	scenarios int
-	info      GroupInfo
-	decision  Decision
 
-	mu     sync.Mutex
-	batch  thermal.BatchStats
-	wallNs int64
+	mu    sync.Mutex
+	batch thermal.BatchStats
 }
 
-func (e *Engine) batchWidth() int {
+// chunkWidth is the width rule: a direct group chunks at BatchWidth (0
+// selects DefaultBatchWidth; negative or 1 steps solo), every other
+// backend at one. Only direct factorizations block
+// (mat.BatchFactorization); an iterative chunk wider than one would
+// keep more runners live for no blocked solve.
+func (e *Engine) chunkWidth(solver string) int {
 	switch {
+	case solver != mat.BackendDirect:
+		return 1
 	case e.BatchWidth == 0:
 		return DefaultBatchWidth
 	case e.BatchWidth < 1:
@@ -57,40 +61,23 @@ func (e *Engine) batchWidth() int {
 
 // RunTransient executes a transient scenario batch with lockstep
 // multi-RHS stepping: scenarios are normalized, validated and
-// deduplicated exactly like Run, grouped by TransientKey, split into
-// the fewest evenly sized chunks of at most BatchWidth (evenChunks),
-// and every chunk advances its scenarios in lockstep (sim.RunBatch) —
-// each chunk's thermal sub-steps solve all right-hand sides that share
-// a factorization in one blocked pass, and the whole group shares one
+// deduplicated (the first occurrence computes, the rest reuse its
+// result), grouped by TransientKey, split into the fewest evenly sized
+// chunks of at most chunkWidth (evenChunks), and every chunk advances
+// its scenarios in lockstep (sim.RunBatch) — each chunk's thermal
+// sub-steps solve all right-hand sides that share a direct
+// factorization in one blocked pass, and the whole group shares one
 // factor cache and one assembly cache.
 // Results are filled through the result cache (batch-aware single-flight
 // fills, so concurrent requests for a scenario join the batch's
-// computation). Per-scenario metrics, keys, cache flags and errors are
-// byte-identical to Engine.Run on the same batch — for every batch width
-// and worker count; only the Result.Group annotation differs (the
-// lockstep key instead of the structural key). onResult streams results
-// as they complete, exactly like Run.
-//
-// When the engine carries a Planner, every group's execution strategy —
-// batch width, refactor reuse, assembly sharing — is the planner's
-// per-group decision instead of the engine defaults. Every plannable
-// knob is result-invariant, so planned results stay byte-identical to
-// unplanned ones (pinned by TestPlannedSweepByteIdentical and the
-// golden corpus).
+// computation). Per-scenario metrics are byte-identical to a solo
+// jobs.Scenario.Run for every batch width and worker count, and the
+// report is byte-identical across worker counts. onResult, when
+// non-nil, observes every Result as it completes (any order, one call
+// at a time) — the streaming hook behind POST /v1/sweeps. RunTransient
+// fails fast only on validation errors, context cancellation, or — with
+// FailFast — the first scenario error.
 func (e *Engine) RunTransient(ctx context.Context, scenarios []jobs.Scenario, onResult func(Result)) (*Report, error) {
-	return e.runTransient(ctx, scenarios, onResult, false)
-}
-
-// RunTransientExplained is RunTransient additionally attaching the
-// plan-explanation block to the report (Report.Plan): per-group chosen
-// strategies, the planner's candidate tables, and measured group costs.
-// Explained reports carry wall times and are therefore a diagnostic
-// surface — the byte-identity contract covers plain RunTransient.
-func (e *Engine) RunTransientExplained(ctx context.Context, scenarios []jobs.Scenario, onResult func(Result)) (*Report, error) {
-	return e.runTransient(ctx, scenarios, onResult, true)
-}
-
-func (e *Engine) runTransient(ctx context.Context, scenarios []jobs.Scenario, onResult func(Result), explain bool) (*Report, error) {
 	p, err := newPlan(scenarios)
 	if err != nil {
 		return nil, err
@@ -102,44 +89,26 @@ func (e *Engine) runTransient(ctx context.Context, scenarios []jobs.Scenario, on
 	groups := map[string]*tgroup{}
 	var groupOrder []*tgroup
 	groupOf := make([]*tgroup, n)
-	var chunks [][]int
-	chunkGroup := map[int]*tgroup{}
 	memberOf := map[*tgroup][]int{}
-	firstOf := map[*tgroup]int{}
 	for _, i := range p.distinct {
 		gk := TransientKey(p.norm[i])
 		g := groups[gk]
 		if g == nil {
-			g = &tgroup{key: gk}
+			g = &tgroup{key: gk, prep: e.newPrepCache(), asm: thermal.NewAssemblyCache(e.asmEntries())}
 			groups[gk] = g
 			groupOrder = append(groupOrder, g)
-			firstOf[g] = i
 		}
 		g.scenarios += 1 + len(p.dupsOf[i])
 		groupOf[i] = g
 		memberOf[g] = append(memberOf[g], i)
 	}
-	// Decide each group's execution strategy — the planner's call when
-	// one is attached, the engine defaults otherwise — then build the
-	// group's sharing caches and chunking from the decision.
+	var chunks [][]int
+	var chunkGroup []*tgroup
 	for _, g := range groupOrder {
 		idxs := memberOf[g]
-		g.info = groupInfo(g.key, p.norm[firstOf[g]], len(idxs), g.scenarios, e.batchWidth())
-		d := e.defaultDecision()
-		if e.Planner != nil {
-			d = e.Planner.PlanGroup(g.info).sanitize()
-		}
-		g.decision = d
-		if d.SharePrep {
-			g.prep = e.newPrepCache()
-			g.prep.SetColdOnly(!d.Refactor)
-		}
-		if d.ShareAssemblies {
-			g.asm = thermal.NewAssemblyCache(e.asmEntries())
-		}
-		for _, c := range evenChunks(idxs, d.BatchWidth) {
-			chunkGroup[len(chunks)] = g
+		for _, c := range evenChunks(idxs, e.chunkWidth(p.norm[idxs[0]].Solver)) {
 			chunks = append(chunks, c)
+			chunkGroup = append(chunkGroup, g)
 		}
 	}
 
@@ -186,23 +155,6 @@ func (e *Engine) runTransient(ctx context.Context, scenarios []jobs.Scenario, on
 	}
 
 	rep := &Report{Results: results, Scenarios: n, Batch: &BatchReport{Chunks: len(chunks)}}
-	if e.Planner != nil || explain {
-		pr := &PlanReport{Planned: e.Planner != nil}
-		for _, g := range groupOrder {
-			g.mu.Lock()
-			actual := g.wallNs
-			g.mu.Unlock()
-			if e.Planner != nil {
-				e.Planner.ObserveGroup(g.info, g.decision, actual)
-			}
-			pr.Groups = append(pr.Groups, PlanGroupOutcome{
-				Group: g.key, Info: g.info, Decision: g.decision, ActualNs: actual,
-			})
-		}
-		if explain {
-			rep.Plan = pr
-		}
-	}
 	for i := range results {
 		r := &results[i]
 		if r.Err != nil {
@@ -275,16 +227,6 @@ func (e *Engine) asmEntries() int {
 // publish and emit each outcome. Failures stay per-scenario; with
 // FailFast the first one cancels the batch.
 func (e *Engine) runChunk(ctx context.Context, g *tgroup, idxs []int, p *plan, emit func(Result), cancel context.CancelFunc) {
-	start := time.Now()
-	defer func() {
-		// The sum of chunk wall times is the group's serial execution
-		// cost — the measurement the planner's estimates are judged
-		// against (Planner.ObserveGroup, Report.Plan.ActualNs).
-		ns := time.Since(start).Nanoseconds()
-		g.mu.Lock()
-		g.wallNs += ns
-		g.mu.Unlock()
-	}()
 	sh := jobs.Shared{Prep: g.prep, Assemblies: g.asm}
 	emitScenario := func(i int, m *sim.Metrics, hit bool, err error) {
 		r := Result{Index: i, Key: p.keys[i], Group: g.key, Scenario: p.norm[i], Metrics: m, CacheHit: hit}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/jobs"
+	"repro/internal/mat"
 )
 
 // transientTestBatch is a small but structurally diverse batch: three
@@ -35,17 +36,31 @@ func transientTestBatch() []jobs.Scenario {
 	}
 }
 
-// resultsJSON renders the per-scenario outcomes for byte comparison.
-// The Group annotation is normalized away: Run labels results with the
-// structural key, RunTransient with the lockstep key (structural key +
-// trace length) — TestRunTransientMatchesRun asserts that mapping
-// separately; everything else must match byte for byte.
-func resultsJSON(t *testing.T, rep *Report) []byte {
+// soloResults is the oracle every transient sweep is held to: each
+// scenario run alone through jobs.Scenario.Run, with the result the
+// engine must report for it — later copies of a content-identical
+// scenario flagged as cache hits — and the batch's solver aggregate.
+func soloResults(t *testing.T, batch []jobs.Scenario) ([]Result, mat.SolveStats) {
 	t.Helper()
-	rs := append([]Result(nil), rep.Results...)
-	for i := range rs {
-		rs[i].Group = ""
+	out := make([]Result, len(batch))
+	var agg mat.SolveStats
+	seen := map[string]bool{}
+	for i, s := range batch {
+		n := s.Normalized()
+		m, err := s.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = Result{Index: i, Key: n.Key(), Group: TransientKey(n), Scenario: n, Metrics: m, CacheHit: seen[n.Key()]}
+		seen[n.Key()] = true
+		agg.Accumulate(m.Solver)
 	}
+	return out, agg
+}
+
+// resultsJSON renders per-scenario outcomes for byte comparison.
+func resultsJSON(t *testing.T, rs []Result) []byte {
+	t.Helper()
 	raw, err := json.Marshal(rs)
 	if err != nil {
 		t.Fatal(err)
@@ -54,19 +69,18 @@ func resultsJSON(t *testing.T, rep *Report) []byte {
 }
 
 // TestRunTransientMatchesRun pins the headline equivalence: the lockstep
-// batch engine returns byte-identical per-scenario results to the
-// per-scenario engine, for every batch width and worker count.
+// batch engine returns byte-identical per-scenario results to solo
+// jobs.Scenario.Run, for every batch width and worker count.
 func TestRunTransientMatchesRun(t *testing.T) {
 	batch := transientTestBatch()
-	ref, err := (&Engine{Pool: jobs.NewPool(1), Cache: jobs.NewCache(0)}).
-		Run(context.Background(), batch, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.Errors != 0 {
-		t.Fatalf("reference sweep had %d errors", ref.Errors)
-	}
+	ref, refSolver := soloResults(t, batch)
 	want := resultsJSON(t, ref)
+	wantHits := 0
+	for _, r := range ref {
+		if r.CacheHit {
+			wantHits++
+		}
+	}
 
 	for _, tc := range []struct{ width, workers int }{
 		{1, 1}, {2, 1}, {3, 4}, {50, 1}, {50, 4}, {-1, 2},
@@ -76,22 +90,55 @@ func TestRunTransientMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("width=%d workers=%d: %v", tc.width, tc.workers, err)
 		}
-		got := resultsJSON(t, rep)
-		if string(got) != string(want) {
-			t.Fatalf("width=%d workers=%d: results differ from Engine.Run", tc.width, tc.workers)
+		if got := resultsJSON(t, rep.Results); string(got) != string(want) {
+			t.Fatalf("width=%d workers=%d: results differ from solo runs:\n%s\n%s", tc.width, tc.workers, got, want)
 		}
-		for i, r := range rep.Results {
-			if want := TransientKey(r.Scenario); r.Group != want {
-				t.Fatalf("width=%d workers=%d result %d: group %q, want %q",
-					tc.width, tc.workers, i, r.Group, want)
-			}
+		if rep.Solver != refSolver {
+			t.Fatalf("width=%d workers=%d: solver aggregate %+v != %+v", tc.width, tc.workers, rep.Solver, refSolver)
 		}
-		if rep.Solver != ref.Solver {
-			t.Fatalf("width=%d workers=%d: solver aggregate %+v != %+v", tc.width, tc.workers, rep.Solver, ref.Solver)
+		if rep.CacheHits != wantHits || rep.Errors != 0 {
+			t.Fatalf("width=%d workers=%d: hits=%d errors=%d (want hits=%d)",
+				tc.width, tc.workers, rep.CacheHits, rep.Errors, wantHits)
 		}
-		if rep.CacheHits != ref.CacheHits || rep.Errors != 0 {
-			t.Fatalf("width=%d workers=%d: hits=%d errors=%d (ref hits=%d)",
-				tc.width, tc.workers, rep.CacheHits, rep.Errors, ref.CacheHits)
+	}
+}
+
+// TestRunTransientWidthRule pins the width rule on one batch holding a
+// 50-scenario direct group, a 9-scenario bicgstab group and a
+// 5-scenario gmres group: the direct group runs as two even chunks of
+// 25, every iterative scenario as a chunk of its own, and every result
+// is byte-identical to a solo run.
+func TestRunTransientWidthRule(t *testing.T) {
+	var batch []jobs.Scenario
+	add := func(solver string, n int) {
+		for seed := int64(1); seed <= int64(n); seed++ {
+			batch = append(batch, jobs.Scenario{
+				Tiers: 2, Cooling: "liquid", Policy: "LC_FUZZY", Workload: "web",
+				Steps: 2, Grid: 8, Solver: solver, Seed: seed,
+			})
+		}
+	}
+	add("direct", 50)
+	add("bicgstab", 9)
+	add("gmres", 5)
+	eng := &Engine{Pool: jobs.NewPool(2), Cache: jobs.NewCache(0)}
+	rep, err := eng.RunTransient(context.Background(), batch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors != 0 || len(rep.Groups) != 3 {
+		t.Fatalf("%d errors, %d groups", rep.Errors, len(rep.Groups))
+	}
+	if want := 2 + 9 + 5; rep.Batch.Chunks != want {
+		t.Fatalf("%d chunks, want %d (direct 25+25, iterative solo)", rep.Batch.Chunks, want)
+	}
+	if rep.Batch.BatchSolves == 0 {
+		t.Fatalf("direct chunks never blocked: %+v", rep.Batch.BatchStats)
+	}
+	ref, _ := soloResults(t, batch)
+	for i, r := range rep.Results {
+		if got, want := resultsJSON(t, []Result{r}), resultsJSON(t, ref[i:i+1]); string(got) != string(want) {
+			t.Fatalf("scenario %d (%s): result differs from its solo run:\n%s\n%s", i, r.Scenario.Solver, got, want)
 		}
 	}
 }
@@ -232,10 +279,11 @@ func TestRunTransientFailFast(t *testing.T) {
 	var batch []jobs.Scenario
 	for seed := int64(1); seed <= 6; seed++ {
 		batch = append(batch, jobs.Scenario{
-			Tiers: 2, Cooling: "air", Workload: "web", Steps: 2, Grid: 8, Seed: seed,
+			Tiers: 2, Cooling: "air", Workload: "web", Steps: 2, Grid: 8, Solver: "direct", Seed: seed,
 		})
 	}
-	// One worker runs the width-2 chunks {0,1}, {2,3}, {4,5} in order
+	// The scenarios are direct, so they chunk at the engine width: one
+	// worker runs the width-2 chunks {0,1}, {2,3}, {4,5} in order
 	// and builds each chunk's runners in key order, so the third build
 	// — the one the fault hits — is whichever of 2 and 3 has the
 	// smaller key.

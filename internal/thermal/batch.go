@@ -4,32 +4,33 @@ import "repro/internal/mat"
 
 // BatchStepper advances several Transient steppers in lockstep: every
 // stepper stages its step (power vector, LHS refresh, rhs assembly,
-// fixed-point check), the staged steps are grouped by the shared
+// fixed-point check), the staged steps are grouped by the shared direct
 // factorization behind each stepper's left-hand side, and every group
 // solves all of its right-hand sides in one blocked multi-RHS pass
 // (mat.BatchWorkspace). Scenarios whose matrices coincide — structurally
 // identical stacks at the same quantised cavity flows, the common case
 // of a policy sweep — pay one factor traversal per *step* instead of one
-// per *scenario*.
+// per *scenario*. Only direct factorizations block
+// (mat.BatchFactorization): every other backend's staged steps solve
+// solo through the stepper's own workspace.
 //
 // Lockstepping is bit-invisible: stage/commit on each Transient performs
 // exactly the work a solo Step would, the blocked column arithmetic is
 // bit-identical to the solo solve (see mat.BatchWorkspace), and the
 // per-stepper SolverStats fold the batched columns' logical counters in.
-// A stepper whose step fails (or whose backend cannot share a
-// factorization) never affects its neighbours.
+// A stepper whose step fails never affects its neighbours.
 //
 // A BatchStepper is not safe for concurrent use; the Transients it
 // steps belong to it for the duration of each Step call.
 type BatchStepper struct {
 	// ws caches one batch workspace per live factorization, bounded to
 	// the few factorizations a group's quantised flow levels keep hot.
-	ws    map[mat.Factorization]*batchWS
+	ws    map[mat.BatchFactorization]*batchWS
 	clock int
 
 	// Per-Step scratch, reused across calls.
-	order           []mat.Factorization
-	groups          map[mat.Factorization][]int
+	order           []mat.BatchFactorization
+	groups          map[mat.BatchFactorization][]int
 	dst, rhs, guess [][]float64
 	res             []mat.ColumnResult
 	stats           BatchStats
@@ -41,7 +42,7 @@ type BatchStepper struct {
 const batchWSBound = 8
 
 type batchWS struct {
-	bw   mat.BatchWorkspace
+	bw   *mat.BatchWorkspace
 	used int
 }
 
@@ -57,7 +58,7 @@ type BatchStats struct {
 	// solves (the columns of those calls).
 	BatchedColumns int `json:"batched_columns"`
 	// SoloSolves counts staged steps solved per-scenario: singleton
-	// factor groups and backends without shareable factorizations.
+	// factor groups and every backend but direct.
 	SoloSolves int `json:"solo_solves"`
 	// FixedPointSkips counts staged steps that needed no solve (the
 	// state already satisfied the staged system).
@@ -76,8 +77,8 @@ func (s *BatchStats) Accumulate(o BatchStats) {
 // NewBatchStepper returns an empty stepper.
 func NewBatchStepper() *BatchStepper {
 	return &BatchStepper{
-		ws:     map[mat.Factorization]*batchWS{},
-		groups: map[mat.Factorization][]int{},
+		ws:     map[mat.BatchFactorization]*batchWS{},
+		groups: map[mat.BatchFactorization][]int{},
 	}
 }
 
@@ -86,14 +87,14 @@ func (bs *BatchStepper) Stats() BatchStats { return bs.stats }
 
 // workspace returns the cached batch workspace for fact, evicting the
 // least-recently-used one past the bound.
-func (bs *BatchStepper) workspace(fact mat.Factorization) mat.BatchWorkspace {
+func (bs *BatchStepper) workspace(fact mat.BatchFactorization) *mat.BatchWorkspace {
 	bs.clock++
 	if w, ok := bs.ws[fact]; ok {
 		w.used = bs.clock
 		return w.bw
 	}
 	if len(bs.ws) >= batchWSBound {
-		var oldest mat.Factorization
+		var oldest mat.BatchFactorization
 		best := bs.clock + 1
 		for f, w := range bs.ws {
 			if w.used < best {
@@ -132,18 +133,20 @@ func (bs *BatchStepper) Step(trs []*Transient, pms []PowerMap) []error {
 			bs.stats.FixedPointSkips++
 			continue
 		}
-		if tr.fact == nil {
-			// No shareable factorization behind this backend: solve solo.
+		fact, ok := tr.fact.(mat.BatchFactorization)
+		if !ok {
+			// Not a direct factorization (or none is shared): blocking
+			// would not pay, so solve solo.
 			bs.stats.SoloSolves++
 			if err := tr.solveStaged(); err != nil {
 				fail(i, err)
 			}
 			continue
 		}
-		if _, ok := bs.groups[tr.fact]; !ok {
-			bs.order = append(bs.order, tr.fact)
+		if _, ok := bs.groups[fact]; !ok {
+			bs.order = append(bs.order, fact)
 		}
-		bs.groups[tr.fact] = append(bs.groups[tr.fact], i)
+		bs.groups[fact] = append(bs.groups[fact], i)
 	}
 	for _, fact := range bs.order {
 		idxs := bs.groups[fact]

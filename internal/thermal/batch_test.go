@@ -119,13 +119,75 @@ func TestBatchStepperBitIdentical(t *testing.T) {
 				}
 			}
 			st := bs.Stats()
-			if st.Steps != steps || st.BatchedColumns == 0 {
-				t.Fatalf("unexpected batch stats %+v", st)
+			blocks := backend == mat.BackendDirect
+			if st.Steps != steps || (st.BatchedColumns > 0) != blocks || (st.BatchSolves > 0) != blocks {
+				t.Fatalf("unexpected batch stats %+v (only direct blocks)", st)
 			}
 			if backend == mat.BackendDirect && asm.Stats().Shares == 0 {
 				t.Fatalf("assembly cache never shared: %+v", asm.Stats())
 			}
 		})
+	}
+}
+
+// TestBatchStepperIterativeStepsSolo pins the width rule's thermal
+// half: transients sharing one bicgstab factorization (one prep cache,
+// one flow) step through BatchStepper.Step, yet every staged solve is a
+// solo solve — never a blocked one — and each matches Transient.Step
+// bit for bit.
+func TestBatchStepperIterativeStepsSolo(t *testing.T) {
+	const scenarios, steps = 4, 6
+	prep := mat.NewPrepCache(0)
+	var batched, solo []*Transient
+	var pms []PowerMap
+	for s := 0; s < scenarios; s++ {
+		sm := batchFixture(t, mat.BackendBiCGSTAB, prep, nil)
+		tr, err := sm.Model.NewTransient(0.1, 40+float64(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := batchFixture(t, mat.BackendBiCGSTAB, nil, nil)
+		rtr, err := ref.Model.NewTransient(0.1, 40+float64(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		batched, solo = append(batched, tr), append(solo, rtr)
+		pms = append(pms, batchPower(t, sm, 1+0.2*float64(s)))
+	}
+	bs := NewBatchStepper()
+	for step := 0; step < steps; step++ {
+		if errs := bs.Step(batched, pms); errs != nil {
+			t.Fatalf("step %d: %v", step, errs)
+		}
+		for s, tr := range batched {
+			if tr.fact == nil || tr.fact != batched[0].fact {
+				t.Fatalf("step %d scenario %d: factorization not shared", step, s)
+			}
+			if err := solo[s].Step(pms[s]); err != nil {
+				t.Fatal(err)
+			}
+			got, want := tr.View(), solo[s].View()
+			for i := range want.T {
+				if got.T[i] != want.T[i] {
+					t.Fatalf("step %d scenario %d node %d: %v != %v", step, s, i, got.T[i], want.T[i])
+				}
+			}
+		}
+	}
+	solves := 0
+	for s, tr := range batched {
+		got, want := tr.SolverStats(), solo[s].SolverStats()
+		if got != want {
+			t.Fatalf("scenario %d stats: %+v != solo %+v", s, got, want)
+		}
+		solves += got.Solves
+	}
+	st := bs.Stats()
+	if st.BatchSolves != 0 || st.BatchedColumns != 0 {
+		t.Fatalf("bicgstab steps were blocked: %+v", st)
+	}
+	if st.SoloSolves == 0 || st.SoloSolves+st.FixedPointSkips > solves {
+		t.Fatalf("solo solves %d, fixed-point skips %d, logical solves %d", st.SoloSolves, st.FixedPointSkips, solves)
 	}
 }
 

@@ -310,7 +310,6 @@ func (tr *Transient) solveStaged() error {
 // solo stepping report identical SolverStats.
 func (tr *Transient) commitBatch(r mat.ColumnResult) error {
 	tr.stats.Solves++
-	tr.stats.Iterations += r.Iterations
 	if r.EarlyExit {
 		tr.stats.EarlyExits++
 	}

@@ -12,10 +12,7 @@
 #   scripts/bench.sh [output.json]          # snapshot mode (default
 #                                           # bench-snapshot.json; name
 #                                           # a new BENCH_PR<n>.json to
-#                                           # commit one — the server's
-#                                           # planner loads the newest
-#                                           # BENCH_*.json as its cost
-#                                           # model at start-up)
+#                                           # commit a new gate baseline)
 #   scripts/bench.sh --check [base.json]    # regression gate against the
 #                                           # latest BENCH_*.json (or base)
 #   scripts/bench.sh --profile [outdir]     # pprof profiles (default
@@ -77,7 +74,7 @@ END {
 
 if [ "$mode" = "snapshot" ]; then
     out="${1:-bench-snapshot.json}"
-    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|PoolStudySweep|CacheHit$|CacheHitFuzzy$|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|TransientSweepPool$|SolveBlock$|StorePut$|StoreGet$|CacheHitDisk$|FactorAMD|FactorND|SerialRefactor|ParallelRefactor|PlannedSweep$|UnplannedSweep$|ResultsQuery$|DisabledPoint$|StudyPool$|ILUApply$}"
+    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|PoolStudySweep|CacheHit$|CacheHitFuzzy$|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|TransientSweepPool$|SolveBlock$|StorePut$|StoreGet$|CacheHitDisk$|FactorAMD|FactorND|SerialRefactor|ParallelRefactor|ResultsQuery$|DisabledPoint$|StudyPool$|ILUApply$}"
     count="${BENCH_COUNT:-1}"
     tmp="$(mktemp)"
     trap 'rm -f "$tmp"' EXIT
@@ -185,17 +182,6 @@ END {
             if (old_b[name] != "" && new_b[name] != "")
                 bad += gate(name, "B/op", old_b[name] + 0, new_b[name] + 0)
             bad += gate(name, "allocs/op", old_a[name] + 0, new_a[name] + 0)
-        }
-    }
-    # Planner speedup gate: when the snapshot pins both sweep variants,
-    # the fresh run must keep the cost-based planner >= 1.2x faster than
-    # the unplanned per-scenario sweep (the PR-9 acceptance floor).
-    if (("BenchmarkPlannedSweep" in new_ns) && ("BenchmarkUnplannedSweep" in new_ns) && new_ns["BenchmarkPlannedSweep"] > 0) {
-        speedup = new_ns["BenchmarkUnplannedSweep"] / new_ns["BenchmarkPlannedSweep"]
-        printf("bench-gate: planned sweep speedup %.2fx (floor 1.20x)\n", speedup)
-        if (speedup < 1.2) {
-            printf("bench-gate: FAILED: planned sweep only %.2fx faster than unplanned (floor 1.20x)\n", speedup)
-            bad++
         }
     }
     if (bad > 0) {
