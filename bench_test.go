@@ -1063,6 +1063,36 @@ func BenchmarkStoreGet(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreReopen measures a restart with no writes since the last
+// checkpoint: Open (manifest, segment scan, WAL replay) and Close of a
+// clean store holding 512 results on the default geometry.
+func BenchmarkStoreReopen(b *testing.B) {
+	dir := b.TempDir()
+	st, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	val := storeBenchValue(b)
+	for i := 0; i < 512; i++ {
+		if err := st.Put(fmt.Sprintf("scenario/v3:%064d", i), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := store.Open(store.Options{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCacheHitDisk measures serving a scenario from the durable
 // tier through the full cache path: memory miss, store read, decode,
 // promotion. The 1-entry memory cache and two alternating keys force

@@ -113,8 +113,9 @@ type Shard struct {
 
 // OpenShard opens (or creates) the shard rooted at dir: reads the
 // manifest, removes stray files from interrupted compactions, rebuilds
-// the index from the segment pages, replays the WAL tail on top, and
-// starts a fresh segment and WAL segment for new appends.
+// the index from the segment pages and replays the WAL tail on top.
+// New appends go to a fresh segment and WAL segment, each created when
+// first written, with LSNs continuing past the checkpoint.
 func OpenShard(dir string, opt Options) (*Shard, error) {
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -164,6 +165,7 @@ func OpenShard(dir string, opt Options) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
+	wal.continueAfter(s.checkpointLSN)
 	s.wal = wal
 	return s, nil
 }
@@ -630,9 +632,11 @@ func (s *Shard) Len() int {
 
 // Checkpoint makes the pages cover every acknowledged record: seals
 // the tail, writes back all dirty pages, fsyncs the segments, swaps
-// the manifest, and drops the now-redundant WAL prefix. A wedged shard
-// refuses: advancing the checkpoint LSN past data whose durability is
-// unknown would let a later reopen skip WAL records it still needs.
+// the manifest, and drops the now-redundant WAL prefix. A shard with
+// nothing appended since its last checkpoint is already covered and
+// writes nothing. A wedged shard refuses: advancing the checkpoint LSN
+// past data whose durability is unknown would let a later reopen skip
+// WAL records it still needs.
 func (s *Shard) Checkpoint() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -644,6 +648,12 @@ func (s *Shard) checkpointLocked() error {
 		return err
 	}
 	lsn := s.wal.LastLSN()
+	if lsn == s.checkpointLSN {
+		// LSNs continue across reopens, so no append since the last
+		// checkpoint means no tail page, no dirty frame and no unsynced
+		// record.
+		return nil
+	}
 	if err := s.wal.Sync(lsn); err != nil {
 		return s.wedge(err)
 	}
@@ -877,6 +887,9 @@ func (s *Shard) Compact() error {
 	s.deadBytes = 0
 	s.activeSeg = seq + 1
 	s.nextPageIdx = 0
+	if err := s.wal.Rotate(); err != nil {
+		return s.wedge(err)
+	}
 	if err := s.wal.DropBefore(lsn); err != nil {
 		return err
 	}
@@ -916,11 +929,12 @@ func (s *Shard) Stats() ShardStats {
 	return st
 }
 
-// Close checkpoints and releases every file handle. The shard must not
-// be used afterwards. A wedged shard skips the checkpoint — it must not
-// advance the manifest past data of unknown durability — and only
-// releases its handles; the reopen replays the WAL back to the last
-// trustworthy state.
+// Close checkpoints whatever was appended since the last checkpoint
+// and releases every file handle; a shard with nothing new writes and
+// fsyncs nothing. The shard must not be used afterwards. A wedged shard
+// skips the checkpoint — it must not advance the manifest past data of
+// unknown durability — and only releases its handles; the reopen
+// replays the WAL back to the last trustworthy state.
 func (s *Shard) Close() error {
 	if s.closed.Swap(true) {
 		return nil

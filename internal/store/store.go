@@ -254,7 +254,8 @@ func (s *Store) Len() int {
 }
 
 // Flush checkpoints every shard: all acknowledged entries land in
-// fsynced pages and the WAL prefix is dropped.
+// fsynced pages and the WAL prefix is dropped. Shards with nothing
+// appended since their last checkpoint write nothing.
 func (s *Store) Flush() error {
 	for i, sh := range s.shards {
 		if err := sh.Checkpoint(); err != nil {
@@ -289,8 +290,10 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// Close checkpoints and closes every shard. The store must not be used
-// afterwards.
+// Close checkpoints every shard that took a write since its last
+// checkpoint and closes them all; a store closed with no writes since
+// its last checkpoint writes and fsyncs nothing. The store must not be
+// used afterwards.
 func (s *Store) Close() error {
 	var first error
 	for _, sh := range s.shards {

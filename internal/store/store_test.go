@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // smallOpts keeps pages/segments tiny so tests exercise rotation,
@@ -191,6 +194,204 @@ func TestStoreCheckpointTrimsWAL(t *testing.T) {
 			t.Fatalf("key %d missing after checkpointed reopen", i)
 		}
 	}
+}
+
+// TestStoreCrashAfterCheckpointedRestart: writes acknowledged after a
+// restart survive a crash even though the checkpoint at the previous
+// close dropped every WAL segment. LSNs must continue past META's
+// checkpoint_lsn — a log restarted at 1 hands out LSNs that replay
+// skips as already checkpointed — and a read-only restart must never
+// move checkpoint_lsn backwards.
+func TestStoreCrashAfterCheckpointedRestart(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(smallOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 60
+	for i := 0; i < n; i++ {
+		if err := st.Put(fmt.Sprintf("key-%03d", i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = Open(smallOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := n; i < n+10; i++ {
+		if err := st.Put(fmt.Sprintf("key-%03d", i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Delete("key-007"); err != nil {
+		t.Fatal(err)
+	}
+	crash(st)
+
+	st, err = Open(smallOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := n; i < n+10; i++ {
+		if v, ok, err := st.Get(fmt.Sprintf("key-%03d", i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+			t.Errorf("key %d acknowledged after the restart lost in the crash (ok=%v err=%v)", i, ok, err)
+		}
+	}
+	if _, ok, _ := st.Get("key-007"); ok {
+		t.Error("key deleted after the restart resurrected by the crash")
+	}
+	if got := st.Len(); got != n+10-1 {
+		t.Errorf("len %d after crash recovery, want %d", got, n+10-1)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := checkpointLSNs(t, dir)
+	st, err = Open(smallOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := checkpointLSNs(t, dir)
+	for i := range before {
+		if after[i] < before[i] {
+			t.Errorf("shard %d: read-only restart moved checkpoint_lsn back %d → %d", i, before[i], after[i])
+		}
+	}
+}
+
+// checkpointLSNs reads every shard's META checkpoint_lsn.
+func checkpointLSNs(t *testing.T, dir string) []uint64 {
+	t.Helper()
+	var lsns []uint64
+	for i := 0; i < smallOpts("").Shards; i++ {
+		m, err := readShardMeta(filepath.Join(dir, fmt.Sprintf("shard-%03d", i), "META"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, m.CheckpointLSN)
+	}
+	return lsns
+}
+
+// TestStoreCleanRestartLeavesDirUnchanged: restarting a store with no
+// writes since its last checkpoint does no durable I/O — no fsync, no
+// new file, no rewritten manifest — while a restart after a write still
+// checkpoints it.
+func TestStoreCleanRestartLeavesDirUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(smallOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := st.Put(fmt.Sprintf("key-%03d", i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := snapshotTree(t, dir)
+
+	t.Cleanup(fault.Disable)
+	reg := fault.New(1,
+		fault.Rule{Point: "store.seg.fsync", Mode: fault.ModeError},
+		fault.Rule{Point: "store.wal.fsync", Mode: fault.ModeError})
+	fault.Enable(reg)
+	for round := 0; round < 3; round++ {
+		st, err := Open(smallOpts(dir))
+		if err != nil {
+			t.Fatalf("round %d: open: %v", round, err)
+		}
+		for i := 0; i < n; i++ {
+			if v, ok, err := st.Get(fmt.Sprintf("key-%03d", i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+				t.Fatalf("round %d: key %d: ok=%v err=%v", round, i, ok, err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatalf("round %d: clean close: %v", round, err)
+		}
+		for _, p := range []string{"store.seg.fsync", "store.wal.fsync"} {
+			if h := reg.Hits(p); h != 0 {
+				t.Fatalf("round %d: clean restart reached %s %d times", round, p, h)
+			}
+		}
+		if got := snapshotTree(t, dir); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: clean restart changed the store directory", round)
+		}
+	}
+	fault.Disable()
+
+	// The dirty path still checkpoints: after one Put the close — or a
+	// compaction, which checkpoints too, and a clean close — leaves
+	// nothing to replay.
+	for i, compact := range []bool{false, true} {
+		key := fmt.Sprintf("after-%d", i)
+		st, err := Open(smallOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Put(key, val(n+i)); err != nil {
+			t.Fatal(err)
+		}
+		if compact {
+			if err := st.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, err = Open(smallOpts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Stats().WAL.ReplayRecords; got != 0 {
+			t.Fatalf("compact=%v: replayed %d records after the close, want 0", compact, got)
+		}
+		if v, ok, err := st.Get(key); err != nil || !ok || !bytes.Equal(v, val(n+i)) {
+			t.Fatalf("compact=%v: write before the close lost: ok=%v err=%v", compact, ok, err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// snapshotTree maps every path under root to its contents (directories
+// to a marker), so two snapshots compare paths, sizes and bytes.
+func snapshotTree(t *testing.T, root string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if info.IsDir() {
+			out[rel+"/"] = ""
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		out[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestShardTornWriteRecovery runs the truncation harness end to end at

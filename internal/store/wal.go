@@ -67,12 +67,12 @@ type WAL struct {
 	maxSeg int64
 
 	mu        sync.Mutex // guards appends, rotation, stats
-	f         *os.File
+	f         *os.File   // active segment; nil after open, Rotate or Close until the next Append
 	w         *bufio.Writer
 	seq       uint64 // active segment sequence
 	size      int64  // active segment size including header
 	nextLSN   uint64
-	lastLSN   uint64            // last appended LSN
+	lastLSN   uint64            // last LSN appended or resumed past
 	segLast   map[uint64]uint64 // segment seq → last LSN it contains
 	stats     WALStats
 	appendBuf []byte
@@ -131,7 +131,9 @@ func (fw *faultWriter) Write(p []byte) (int, error) {
 // order. Every fully-committed record is passed to apply (in LSN
 // order); the first torn record truncates its segment and ends replay
 // — by the durability contract everything after it was never
-// acknowledged. Appending resumes in a fresh segment.
+// acknowledged. Appending resumes after the last replayed LSN, in a
+// fresh segment that the first Append creates: an open that appends
+// nothing leaves dir untouched.
 func OpenWAL(dir string, maxSegmentBytes int64, apply func(Record) error) (*WAL, error) {
 	if maxSegmentBytes <= walHeaderSize {
 		maxSegmentBytes = 4 << 20
@@ -165,12 +167,24 @@ func OpenWAL(dir string, maxSegmentBytes int64, apply func(Record) error) (*WAL,
 			w.seq = seq
 		}
 	}
-	w.nextLSN = w.lastLSN + 1
 	w.stats.Segments = len(seqs)
-	if err := w.rotateLocked(); err != nil {
-		return nil, err
-	}
+	w.continueAfter(w.lastLSN)
 	return w, nil
+}
+
+// continueAfter makes appends resume at lsn+1 unless the log already
+// runs past it, and counts everything up to there as synced. The shard
+// passes its checkpoint LSN: the checkpoint dropped every segment that
+// held it, and a log restarted below it would hand out LSNs that the
+// next replay skips as already checkpointed. Only called before the log
+// is shared.
+func (w *WAL) continueAfter(lsn uint64) {
+	if lsn < w.lastLSN {
+		return
+	}
+	w.lastLSN = lsn
+	w.nextLSN = lsn + 1
+	w.syncedLSN = lsn
 }
 
 // walSegments lists segment sequences in dir, ascending.
@@ -242,20 +256,36 @@ func (w *WAL) replaySegment(seq uint64, apply func(Record) error) (lastLSN, n ui
 }
 
 // rotateLocked closes the active segment (if any) and starts the next
-// one. Callers hold w.mu or have exclusive access.
+// one. Callers hold w.mu.
 func (w *WAL) rotateLocked() error {
 	if w.f != nil {
-		if err := w.w.Flush(); err != nil {
+		if err := w.closeSegmentLocked(); err != nil {
 			return err
 		}
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
-		if err := w.f.Close(); err != nil {
-			return err
-		}
-		w.stats.Rotations++
 	}
+	return w.openSegmentLocked()
+}
+
+// closeSegmentLocked flushes, fsyncs and closes the active segment,
+// leaving none: the next Append starts a fresh one. Callers hold w.mu.
+func (w *WAL) closeSegmentLocked() error {
+	if err := w.w.Flush(); err != nil {
+		return err
+	}
+	if err := w.f.Sync(); err != nil {
+		return err
+	}
+	if err := w.f.Close(); err != nil {
+		return err
+	}
+	w.f, w.w = nil, nil
+	w.stats.Rotations++
+	return nil
+}
+
+// openSegmentLocked creates the next segment file and makes it active.
+// Callers hold w.mu.
+func (w *WAL) openSegmentLocked() error {
 	w.seq++
 	f, err := os.OpenFile(walPath(w.dir, w.seq), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -289,6 +319,11 @@ func (w *WAL) Append(op byte, key string, value []byte) (uint64, error) {
 	w.appendBuf, err = AppendRecord(w.appendBuf[:0], Record{Op: op, LSN: lsn, Key: key, Value: value})
 	if err != nil {
 		return 0, err
+	}
+	if w.f == nil {
+		if err := w.openSegmentLocked(); err != nil {
+			return 0, w.fail(err)
+		}
 	}
 	if _, err := w.w.Write(w.appendBuf); err != nil {
 		// A failed buffered write leaves an unknown prefix of the record
@@ -336,6 +371,13 @@ func (w *WAL) Sync(lsn uint64) error {
 	w.mu.Lock()
 	target := w.lastLSN
 	f := w.f
+	if f == nil {
+		// No active segment: the rotation that closed the last one
+		// fsynced it, and open counted everything before it as synced.
+		w.mu.Unlock()
+		w.syncedLSN = target
+		return nil
+	}
 	err := w.w.Flush()
 	w.mu.Unlock()
 	if err != nil {
@@ -357,19 +399,19 @@ func (w *WAL) Sync(lsn uint64) error {
 	return nil
 }
 
-// Rotate closes the active segment (if it holds any records) and
-// starts a fresh one, so a following DropBefore can reclaim it once a
-// checkpoint makes its records redundant.
+// Rotate closes the active segment (if it holds any records), so a
+// following DropBefore can reclaim it once a checkpoint makes its
+// records redundant. The next Append starts a fresh segment.
 func (w *WAL) Rotate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, dirty := w.segLast[w.seq]; !dirty {
+	if _, dirty := w.segLast[w.seq]; w.f == nil || !dirty {
 		return nil
 	}
-	return w.rotateLocked()
+	return w.closeSegmentLocked()
 }
 
-// LastLSN returns the highest appended LSN.
+// LastLSN returns the highest LSN appended, or resumed past at open.
 func (w *WAL) LastLSN() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -386,8 +428,8 @@ func (w *WAL) DropBefore(lsn uint64) error {
 		return err
 	}
 	for _, seq := range seqs {
-		if seq == w.seq {
-			continue
+		if seq == w.seq && w.f != nil {
+			continue // the active segment
 		}
 		last, known := w.segLast[seq]
 		if known && last > lsn {
@@ -409,10 +451,10 @@ func (w *WAL) Stats() WALStats {
 	return w.stats
 }
 
-// Close flushes, fsyncs and closes the active segment. A wedged log
-// (sticky durability failure) only releases the file handle: flushing
-// or fsyncing would risk acknowledging data the kernel already dropped,
-// and the failure was reported when it happened.
+// Close flushes, fsyncs and closes the active segment, if there is
+// one. A wedged log (sticky durability failure) only releases the file
+// handle: flushing or fsyncing would risk acknowledging data the kernel
+// already dropped, and the failure was reported when it happened.
 func (w *WAL) Close() error {
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()

@@ -74,7 +74,7 @@ END {
 
 if [ "$mode" = "snapshot" ]; then
     out="${1:-bench-snapshot.json}"
-    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|PoolStudySweep|CacheHit$|CacheHitFuzzy$|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|TransientSweepPool$|SolveBlock$|StorePut$|StoreGet$|CacheHitDisk$|FactorAMD|FactorND|SerialRefactor|ParallelRefactor|ResultsQuery$|DisabledPoint$|StudyPool$|ILUApply$}"
+    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|PoolStudySweep|CacheHit$|CacheHitFuzzy$|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|TransientSweepPool$|SolveBlock$|StorePut$|StoreGet$|StoreReopen$|CacheHitDisk$|FactorAMD|FactorND|SerialRefactor|ParallelRefactor|ResultsQuery$|DisabledPoint$|StudyPool$|ILUApply$}"
     count="${BENCH_COUNT:-1}"
     tmp="$(mktemp)"
     trap 'rm -f "$tmp"' EXIT
