@@ -50,21 +50,27 @@ func FormatNames() []string {
 	return out
 }
 
-// cell renders one value for the table format: shortest float form
-// (round-trippable), "" for absent values.
-func cell(v any) string {
+// appendCell appends one value as a table cell: shortest float form
+// (round-trippable), 1/0 for booleans, nothing for absent values.
+func appendCell(b []byte, v any) []byte {
 	switch x := v.(type) {
 	case nil:
-		return ""
+		return b
 	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
+		return strconv.AppendFloat(b, x, 'g', -1, 64)
 	case bool:
 		if x {
-			return "1"
+			return append(b, '1')
 		}
-		return "0"
+		return append(b, '0')
+	case string:
+		return append(b, x...)
+	case int:
+		return strconv.AppendInt(b, int64(x), 10)
+	case int64:
+		return strconv.AppendInt(b, x, 10)
 	default:
-		return fmt.Sprint(x)
+		return fmt.Append(b, x)
 	}
 }
 
@@ -79,37 +85,54 @@ func (tableFormatter) Format(w io.Writer, fields []string, rows []Record) error 
 	for i, f := range fields {
 		width[i] = len(f)
 	}
-	cells := make([][]string, len(rows))
+	// Render every cell once, back to back; ends[r*len(fields)+i] is
+	// where row r's cell i ends.
+	cells := make([]byte, 0, 8*len(rows)*len(fields))
+	ends := make([]int, len(rows)*len(fields))
 	for r, row := range rows {
-		cells[r] = make([]string, len(fields))
 		for i, f := range fields {
-			c := cell(row[f])
-			cells[r][i] = c
-			if len(c) > width[i] {
-				width[i] = len(c)
+			start := len(cells)
+			cells = appendCell(cells, row[f])
+			ends[r*len(fields)+i] = len(cells)
+			width[i] = max(width[i], len(cells)-start)
+		}
+	}
+	line := 1
+	for _, n := range width {
+		line += n + 2
+	}
+	out := make([]byte, 0, line*(len(rows)+1))
+	// Pad every column but the last, so lines have no trailing
+	// whitespace.
+	pad := func(i, n int) {
+		if i < len(fields)-1 {
+			for ; n < width[i]; n++ {
+				out = append(out, ' ')
 			}
 		}
 	}
-	var b strings.Builder
-	writeRow := func(cols []string) {
-		for i, c := range cols {
+	for i, f := range fields {
+		if i > 0 {
+			out = append(out, "  "...)
+		}
+		out = append(out, f...)
+		pad(i, len(f))
+	}
+	out = append(out, '\n')
+	start := 0
+	for r := range rows {
+		for i := range fields {
 			if i > 0 {
-				b.WriteString("  ")
+				out = append(out, "  "...)
 			}
-			b.WriteString(c)
-			// Pad every column but the last, so lines have no trailing
-			// whitespace.
-			if i < len(cols)-1 {
-				b.WriteString(strings.Repeat(" ", width[i]-len(c)))
-			}
+			end := ends[r*len(fields)+i]
+			out = append(out, cells[start:end]...)
+			pad(i, end-start)
+			start = end
 		}
-		b.WriteByte('\n')
+		out = append(out, '\n')
 	}
-	writeRow(fields)
-	for _, row := range cells {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(out)
 	return err
 }
 

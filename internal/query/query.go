@@ -5,14 +5,20 @@
 //
 // An expression is a sequence of whitespace-separated terms:
 //
-//	max_temp<85 cooling=liquid sort:pump_power limit:10 fields:id,max_temp,pump_power
+//	max_temp<85 cooling=liquid sort:pump_power limit:10 fields:index,max_temp,pump_power
 //
 //	field OP value   filter (OP one of < <= > >= = !=); numeric when both
 //	                 sides parse as numbers, lexicographic otherwise
 //	sort:[-]field    sort key, descending with the - prefix; repeatable,
-//	                 later keys break ties of earlier ones
+//	                 later keys break ties of earlier ones, input order
+//	                 breaks the rest
 //	limit:N          keep at most N rows after sorting
 //	fields:a,b,c     project to the named fields, in order
+//
+// Sort keys order numbers first (NaN before every other number), then
+// other values by their fmt.Sprint form, then nil and missing values;
+// a descending key reverses that order. A filter on a field a row
+// lacks drops the row, and NaN compares equal to every numeric literal.
 //
 // Parse and String round-trip: String renders the canonical form and
 // Parse(String(q)) reproduces q exactly (fuzzed by FuzzQueryExpr).
@@ -20,7 +26,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -155,137 +160,4 @@ func (q *Query) String() string {
 		terms = append(terms, "fields:"+strings.Join(q.Fields, ","))
 	}
 	return strings.Join(terms, " ")
-}
-
-// Run evaluates the query over rows: filter, stable sort, limit. The
-// input is not mutated; the projection is applied by the formatters
-// (Fields only selects output columns).
-func (q *Query) Run(rows []Record) []Record {
-	out := make([]Record, 0, len(rows))
-	for _, r := range rows {
-		if q.match(r) {
-			out = append(out, r)
-		}
-	}
-	if len(q.Sort) > 0 {
-		sort.SliceStable(out, func(a, b int) bool {
-			for _, k := range q.Sort {
-				c := compareValues(out[a][k.Field], out[b][k.Field])
-				if c == 0 {
-					continue
-				}
-				if k.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-	if q.Limit > 0 && len(out) > q.Limit {
-		out = out[:q.Limit]
-	}
-	return out
-}
-
-func (q *Query) match(r Record) bool {
-	for _, f := range q.Filters {
-		v, ok := r[f.Field]
-		if !ok {
-			return false
-		}
-		c, comparable := compareWith(v, f.Value)
-		switch f.Op {
-		case "=":
-			if !comparable || c != 0 {
-				return false
-			}
-		case "!=":
-			if comparable && c == 0 {
-				return false
-			}
-		case "<":
-			if !comparable || c >= 0 {
-				return false
-			}
-		case "<=":
-			if !comparable || c > 0 {
-				return false
-			}
-		case ">":
-			if !comparable || c <= 0 {
-				return false
-			}
-		case ">=":
-			if !comparable || c < 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// compareWith compares a record value against a filter literal:
-// numerically when both sides are numbers, as strings otherwise.
-func compareWith(v any, lit string) (int, bool) {
-	if n, ok := asNumber(v); ok {
-		ln, err := strconv.ParseFloat(lit, 64)
-		if err != nil {
-			return 0, false
-		}
-		return cmpFloat(n, ln), true
-	}
-	return strings.Compare(fmt.Sprint(v), lit), true
-}
-
-// compareValues orders two record values for sorting: numbers before
-// strings, missing values last.
-func compareValues(a, b any) int {
-	an, aNum := asNumber(a)
-	bn, bNum := asNumber(b)
-	switch {
-	case aNum && bNum:
-		return cmpFloat(an, bn)
-	case aNum:
-		return -1
-	case bNum:
-		return 1
-	case a == nil && b == nil:
-		return 0
-	case a == nil:
-		return 1
-	case b == nil:
-		return -1
-	default:
-		return strings.Compare(fmt.Sprint(a), fmt.Sprint(b))
-	}
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func asNumber(v any) (float64, bool) {
-	switch n := v.(type) {
-	case float64:
-		return n, true
-	case int:
-		return float64(n), true
-	case int64:
-		return float64(n), true
-	case bool:
-		if n {
-			return 1, true
-		}
-		return 0, true
-	default:
-		return 0, false
-	}
 }

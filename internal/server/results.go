@@ -24,7 +24,9 @@ import (
 // beside the metrics the result cache already writes through. A
 // restarted server re-reads manifests and re-joins each row to its
 // stored metrics, so queries keep answering across restarts without
-// recomputing anything.
+// recomputing anything. Each in-memory sweep is kept as a query.Table,
+// so the columns a query reads are decoded once per sweep, not once per
+// query.
 
 // Store keys of the durable tier. Manifests live beside (not inside)
 // the scenario-metrics namespace, so the cache's scenario keys and the
@@ -61,11 +63,11 @@ type resultsRegistry struct {
 
 	mu    sync.Mutex
 	order []string // in-memory ids, oldest first
-	mem   map[string][]query.Record
+	mem   map[string]*query.Table
 }
 
 func newResultsRegistry(st *store.Store) *resultsRegistry {
-	return &resultsRegistry{store: st, maxMem: defaultMemSweeps, mem: map[string][]query.Record{}}
+	return &resultsRegistry{store: st, maxMem: defaultMemSweeps, mem: map[string]*query.Table{}}
 }
 
 // SweepID content-addresses a sweep: the hash of its ordered scenario
@@ -98,7 +100,7 @@ func (g *resultsRegistry) Register(rep *sweep.Report) (string, error) {
 			g.order = g.order[1:]
 		}
 	}
-	g.mem[id] = records
+	g.mem[id] = query.NewTable(records)
 	var err error
 	if g.store != nil {
 		err = g.persistLocked(id, rep)
@@ -205,7 +207,7 @@ func (g *resultsRegistry) List() ([]SweepInfo, error) {
 	defer g.mu.Unlock()
 	var out []SweepInfo
 	for _, id := range g.order {
-		out = append(out, SweepInfo{ID: id, Scenarios: len(g.mem[id]), InMemory: true})
+		out = append(out, SweepInfo{ID: id, Scenarios: g.mem[id].Len(), InMemory: true})
 	}
 	ids, err := g.durableIDs()
 	if err != nil {
@@ -232,23 +234,30 @@ func (g *resultsRegistry) List() ([]SweepInfo, error) {
 	return out, nil
 }
 
-// Records gathers the queryable rows: one sweep when id is given, both
-// tiers' union otherwise (memory wins for sweeps present in both).
-func (g *resultsRegistry) Records(id string) ([]query.Record, error) {
+// Tables gathers the queryable sweeps: one when id is given, both
+// tiers otherwise, in query order: the ring oldest first, then the
+// durable-only sweeps in index order (memory wins for sweeps present
+// in both). Durable-only sweeps are rebuilt for each query, so their
+// tables are uncached: the query reads their records directly.
+func (g *resultsRegistry) Tables(id string) ([]*query.Table, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if id != "" {
-		if recs, ok := g.mem[id]; ok {
-			return recs, nil
+		if t, ok := g.mem[id]; ok {
+			return []*query.Table{t}, nil
 		}
 		if g.store == nil {
 			return nil, fmt.Errorf("results: unknown sweep %q", id)
 		}
-		return g.loadDurable(id)
+		recs, err := g.loadDurable(id)
+		if err != nil {
+			return nil, err
+		}
+		return []*query.Table{query.Uncached(recs)}, nil
 	}
-	var out []query.Record
+	out := make([]*query.Table, 0, len(g.order))
 	for _, memID := range g.order {
-		out = append(out, g.mem[memID]...)
+		out = append(out, g.mem[memID])
 	}
 	ids, err := g.durableIDs()
 	if err != nil {
@@ -262,7 +271,7 @@ func (g *resultsRegistry) Records(id string) ([]query.Record, error) {
 		if err != nil {
 			return out, err
 		}
-		out = append(out, recs...)
+		out = append(out, query.Uncached(recs))
 	}
 	return out, nil
 }
@@ -291,10 +300,11 @@ func (s *Server) handleResultsList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResultsQuery(w http.ResponseWriter, r *http.Request) {
+	params := r.URL.Query()
 	req := ResultsQueryRequest{
-		Query:  r.URL.Query().Get("q"),
-		Format: r.URL.Query().Get("format"),
-		Sweep:  r.URL.Query().Get("sweep"),
+		Query:  params.Get("q"),
+		Format: params.Get("format"),
+		Sweep:  params.Get("sweep"),
 	}
 	if r.Method == http.MethodPost {
 		if err := decodeBody(r, &req); err != nil {
@@ -308,24 +318,22 @@ func (s *Server) handleResultsQuery(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("%w (fields: %s)", err, strings.Join(query.FieldNames(), ", ")))
 		return
 	}
-	for _, f := range q.Fields {
-		if !knownField(f) {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("query: unknown field %q (have %s)", f, strings.Join(query.FieldNames(), ", ")))
-			return
-		}
+	if f, ok := unknownField(q); ok {
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("query: unknown field %q (have %s)", f, strings.Join(query.FieldNames(), ", ")))
+		return
 	}
 	formatter, err := query.NewFormatter(req.Format)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	rows, err := s.results.Records(req.Sweep)
+	tables, err := s.results.Tables(req.Sweep)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	rows = q.Run(rows)
+	rows := q.RunTables(tables)
 	fields := q.Fields
 	if len(fields) == 0 {
 		fields = query.DefaultFields
@@ -351,3 +359,24 @@ var knownFields = func() map[string]bool {
 }()
 
 func knownField(f string) bool { return knownFields[f] }
+
+// unknownField returns the first field q filters, sorts or projects on
+// that no record carries.
+func unknownField(q *query.Query) (string, bool) {
+	for _, f := range q.Filters {
+		if !knownField(f.Field) {
+			return f.Field, true
+		}
+	}
+	for _, k := range q.Sort {
+		if !knownField(k.Field) {
+			return k.Field, true
+		}
+	}
+	for _, f := range q.Fields {
+		if !knownField(f) {
+			return f, true
+		}
+	}
+	return "", false
+}

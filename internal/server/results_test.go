@@ -146,6 +146,8 @@ func TestResultsQueryErrors(t *testing.T) {
 		{q: "max_temp<", status: http.StatusBadRequest, wantSub: "fields:"},
 		{q: "limit:zero", status: http.StatusBadRequest, wantSub: "fields:"},
 		{q: "fields:nope", status: http.StatusBadRequest, wantSub: "unknown field"},
+		{q: "max_tmp>60", status: http.StatusBadRequest, wantSub: "unknown field"},
+		{q: "sort:nope", status: http.StatusBadRequest, wantSub: "unknown field"},
 		{q: "", format: "xml", status: http.StatusBadRequest, wantSub: "format"},
 		{q: "", sweep: "sw-doesnotexist00", status: http.StatusNotFound, wantSub: "unknown sweep"},
 	} {

@@ -150,10 +150,7 @@ func OpenShard(dir string, opt Options) (*Shard, error) {
 	}
 	s.activeSeg = maxSeq + 1
 	s.nextPageIdx = 0
-	wal, err := OpenWAL(filepath.Join(dir, "wal"), s.walSegMax, func(rec Record) error {
-		if rec.LSN <= s.checkpointLSN {
-			return nil
-		}
+	wal, err := OpenWAL(filepath.Join(dir, "wal"), s.walSegMax, s.checkpointLSN, func(rec Record) error {
 		switch rec.Op {
 		case OpPut:
 			return s.applyPutLocked(rec.Key, rec.Value)
@@ -165,7 +162,6 @@ func OpenShard(dir string, opt Options) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	wal.continueAfter(s.checkpointLSN)
 	s.wal = wal
 	return s, nil
 }

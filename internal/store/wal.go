@@ -52,7 +52,8 @@ type WALStats struct {
 	Rotations uint64 `json:"rotations"`
 	// Segments is the current on-disk segment-file count.
 	Segments int `json:"segments"`
-	// ReplayRecords counts records recovered by the last open.
+	// ReplayRecords counts the records the last open applied: those
+	// past the checkpoint.
 	ReplayRecords uint64 `json:"replay_records"`
 	// TruncatedBytes counts bytes cut from a torn tail by the last open.
 	TruncatedBytes uint64 `json:"truncated_bytes"`
@@ -128,13 +129,14 @@ func (fw *faultWriter) Write(p []byte) (int, error) {
 }
 
 // OpenWAL opens the shard WAL in dir, replaying existing segments in
-// order. Every fully-committed record is passed to apply (in LSN
-// order); the first torn record truncates its segment and ends replay
-// — by the durability contract everything after it was never
-// acknowledged. Appending resumes after the last replayed LSN, in a
-// fresh segment that the first Append creates: an open that appends
-// nothing leaves dir untouched.
-func OpenWAL(dir string, maxSegmentBytes int64, apply func(Record) error) (*WAL, error) {
+// order. Every fully-committed record past checkpointLSN is passed to
+// apply (in LSN order); records at or below it are already in the
+// checkpoint. The first torn record truncates its segment and ends
+// replay — by the durability contract everything after it was never
+// acknowledged. Appending resumes after the last replayed LSN or the
+// checkpoint, whichever is later, in a fresh segment that the first
+// Append creates: an open that appends nothing leaves dir untouched.
+func OpenWAL(dir string, maxSegmentBytes int64, checkpointLSN uint64, apply func(Record) error) (*WAL, error) {
 	if maxSegmentBytes <= walHeaderSize {
 		maxSegmentBytes = 4 << 20
 	}
@@ -152,7 +154,7 @@ func OpenWAL(dir string, maxSegmentBytes int64, apply func(Record) error) (*WAL,
 		return nil, err
 	}
 	for _, seq := range seqs {
-		last, n, err := w.replaySegment(seq, apply)
+		last, n, err := w.replaySegment(seq, checkpointLSN, apply)
 		if err != nil {
 			return nil, err
 		}
@@ -168,23 +170,13 @@ func OpenWAL(dir string, maxSegmentBytes int64, apply func(Record) error) (*WAL,
 		}
 	}
 	w.stats.Segments = len(seqs)
-	w.continueAfter(w.lastLSN)
+	// Appends resume past the checkpoint too: it dropped every segment
+	// that held it, and a log restarted below it would hand out LSNs
+	// that the next replay skips as already checkpointed.
+	w.lastLSN = max(w.lastLSN, checkpointLSN)
+	w.nextLSN = w.lastLSN + 1
+	w.syncedLSN = w.lastLSN
 	return w, nil
-}
-
-// continueAfter makes appends resume at lsn+1 unless the log already
-// runs past it, and counts everything up to there as synced. The shard
-// passes its checkpoint LSN: the checkpoint dropped every segment that
-// held it, and a log restarted below it would hand out LSNs that the
-// next replay skips as already checkpointed. Only called before the log
-// is shared.
-func (w *WAL) continueAfter(lsn uint64) {
-	if lsn < w.lastLSN {
-		return
-	}
-	w.lastLSN = lsn
-	w.nextLSN = lsn + 1
-	w.syncedLSN = lsn
 }
 
 // walSegments lists segment sequences in dir, ascending.
@@ -213,11 +205,12 @@ func walPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%016d.log", seq))
 }
 
-// replaySegment scans one segment, applying committed records. A torn
-// tail (short record or checksum failure) truncates the file at the
-// last good boundary; a structurally impossible record is real
-// corruption and fails the open.
-func (w *WAL) replaySegment(seq uint64, apply func(Record) error) (lastLSN, n uint64, err error) {
+// replaySegment scans one segment, applying and counting committed
+// records past checkpointLSN. A torn tail (short record or checksum
+// failure) truncates the file at the last good boundary; a
+// structurally impossible record is real corruption and fails the
+// open.
+func (w *WAL) replaySegment(seq, checkpointLSN uint64, apply func(Record) error) (lastLSN, n uint64, err error) {
 	path := walPath(w.dir, seq)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -243,13 +236,15 @@ func (w *WAL) replaySegment(seq uint64, apply func(Record) error) (lastLSN, n ui
 			}
 			return 0, 0, fmt.Errorf("store: %s at offset %d: %w", path, off, derr)
 		}
-		if apply != nil {
-			if aerr := apply(rec); aerr != nil {
-				return 0, 0, aerr
+		if rec.LSN > checkpointLSN {
+			if apply != nil {
+				if aerr := apply(rec); aerr != nil {
+					return 0, 0, aerr
+				}
 			}
+			n++
 		}
 		lastLSN = rec.LSN
-		n++
 		off += consumed
 	}
 	return lastLSN, n, nil

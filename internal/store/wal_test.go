@@ -98,7 +98,7 @@ func FuzzWALRecord(f *testing.F) {
 func collectWAL(t *testing.T, dir string) (*WAL, []Record) {
 	t.Helper()
 	var recs []Record
-	w, err := OpenWAL(dir, 0, func(r Record) error {
+	w, err := OpenWAL(dir, 0, 0, func(r Record) error {
 		recs = append(recs, r)
 		return nil
 	})
@@ -188,7 +188,7 @@ func TestWALGroupCommit(t *testing.T) {
 
 func TestWALRotationAndDrop(t *testing.T) {
 	dir := t.TempDir()
-	w, err := OpenWAL(dir, 256, nil) // tiny segments force rotation
+	w, err := OpenWAL(dir, 256, 0, nil) // tiny segments force rotation
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestWALTornWriteRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		var recs []Record
-		w2, err := OpenWAL(dir, 0, func(r Record) error {
+		w2, err := OpenWAL(dir, 0, 0, func(r Record) error {
 			recs = append(recs, r)
 			return nil
 		})
