@@ -1020,7 +1020,7 @@ func storeBenchValue(b *testing.B) []byte {
 // apply. Dominated by the fsync — this is the per-result durability tax
 // the write-through tier pays.
 func BenchmarkStorePut(b *testing.B) {
-	st, err := store.Open(store.Options{Dir: b.TempDir(), Shards: 2})
+	st, err := store.Open(store.Options{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1041,7 +1041,7 @@ func BenchmarkStorePut(b *testing.B) {
 // BenchmarkStoreGet measures a read through the buffer pool with the
 // working set resident: index lookup, page pin, entry copy, unpin.
 func BenchmarkStoreGet(b *testing.B) {
-	st, err := store.Open(store.Options{Dir: b.TempDir(), Shards: 2})
+	st, err := store.Open(store.Options{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1064,8 +1064,8 @@ func BenchmarkStoreGet(b *testing.B) {
 }
 
 // BenchmarkStoreReopen measures a restart with no writes since the last
-// checkpoint: Open (manifest, segment scan, WAL replay) and Close of a
-// clean store holding 512 results on the default geometry.
+// checkpoint: Open (META read, segment scan, WAL replay) and Close of a
+// clean store holding 512 results on the default options.
 func BenchmarkStoreReopen(b *testing.B) {
 	dir := b.TempDir()
 	st, err := store.Open(store.Options{Dir: dir})
@@ -1099,7 +1099,7 @@ func BenchmarkStoreReopen(b *testing.B) {
 // every access to the disk tier — compare with BenchmarkCacheHit (the
 // memory tier) for the cost of surviving a restart.
 func BenchmarkCacheHitDisk(b *testing.B) {
-	st, err := store.Open(store.Options{Dir: b.TempDir(), Shards: 2})
+	st, err := store.Open(store.Options{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}

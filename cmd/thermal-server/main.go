@@ -43,8 +43,7 @@ func main() {
 	solver := flag.String("solver", "", "default linear-solver backend for /v1/simulate and /v1/studies requests that omit one: "+strings.Join(mat.Backends(), ", ")+" (/v1/dse uses the closed-form explorer, no linear solves)")
 	ordering := flag.String("ordering", "", "default fill-reducing ordering of the direct backend for requests that omit one: "+strings.Join(mat.Orderings(), ", ")+" (default auto)")
 	storeDir := flag.String("store-dir", "", "durable result-store directory (empty = memory-only cache); results written here survive restarts")
-	storeShards := flag.Int("store-shards", 0, "result-store shard count; 0 adopts an existing store's persisted count (4 on first creation), a non-zero value must match the store it reopens")
-	storePoolPages := flag.Int("store-pool-pages", 1024, "result-store buffer-pool page frames, split across shards (each shard keeps at least one frame)")
+	storePoolPages := flag.Int("store-pool-pages", 1024, "result-store buffer-pool page frames (at least 4)")
 	peers := flag.String("peers", "", "comma-separated base URLs of replica peers (e.g. http://replica-2:8080); a local store miss is warm-filled from the first peer that has the key before falling back to compute")
 	peerTimeout := flag.Duration("peer-timeout", 2*time.Second, "per-request timeout for peer warm-fill fetches")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrently executing compute requests; up to the same number again queue briefly, the rest are shed with 503 + Retry-After (0 = no admission control)")
@@ -84,14 +83,13 @@ func main() {
 		var err error
 		st, err = store.Open(store.Options{
 			Dir:       *storeDir,
-			Shards:    *storeShards,
 			PoolPages: *storePoolPages,
 			Peer:      filler,
 		})
 		if err != nil {
 			log.Fatalf("open result store: %v", err)
 		}
-		log.Printf("result store open at %s (%d shards, %d entries recovered)", *storeDir, len(st.Stats().Shards), st.Len())
+		log.Printf("result store open at %s (%d entries recovered)", *storeDir, st.Len())
 	}
 	svc := server.New(server.Options{
 		Workers:         *workers,

@@ -121,7 +121,7 @@ func TestMetricsCodecRejectsBadInput(t *testing.T) {
 // computation lands in the store, and a cold cache (new process) serves
 // it back as a hit with zero recomputation and identical float bits.
 func TestCacheStoreTier(t *testing.T) {
-	st, err := store.Open(store.Options{Dir: t.TempDir(), Shards: 2, PageSize: 512})
+	st, err := store.Open(store.Options{Dir: t.TempDir(), PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCacheStoreTier(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := store.Open(store.Options{Dir: st.Dir(), Shards: 2, PageSize: 512})
+	st2, err := store.Open(store.Options{Dir: st.Dir(), PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestCacheStoreTier(t *testing.T) {
 // TestCacheStoreTierSingleFlight: joiners of a flight that resolves
 // from the store get the value without touching the store or compute.
 func TestCacheStoreTierSingleFlight(t *testing.T) {
-	st, err := store.Open(store.Options{Dir: t.TempDir(), Shards: 1, PageSize: 512})
+	st, err := store.Open(store.Options{Dir: t.TempDir(), PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestCacheStoreErrorsDegrade(t *testing.T) {
 // rides: a fresh node's /v1/stats shows store hits and peer fills, not
 // computed scenarios.
 func TestCacheStoreTierPeerFill(t *testing.T) {
-	primary, err := store.Open(store.Options{Dir: t.TempDir(), Shards: 2, PageSize: 512})
+	primary, err := store.Open(store.Options{Dir: t.TempDir(), PageSize: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestCacheStoreTierPeerFill(t *testing.T) {
 	}
 
 	replica, err := store.Open(store.Options{
-		Dir: t.TempDir(), Shards: 2, PageSize: 512,
+		Dir: t.TempDir(), PageSize: 512,
 		Peer: store.StorePeer{S: primary},
 	})
 	if err != nil {

@@ -138,16 +138,15 @@ func (s *Server) compute(h http.HandlerFunc) http.HandlerFunc {
 // /healthz liveness: a live process answers /healthz while draining or
 // degraded, but /readyz flips to 503 as soon as the server is draining
 // (SIGTERM received, Shutdown imminent) or the durable store can no
-// longer acknowledge writes (a shard wedged after a durability
-// failure), so balancers stop routing new work here while in-flight
-// requests finish.
+// longer acknowledge writes (it wedged after a durability failure), so
+// balancers stop routing new work here while in-flight requests finish.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	reasons := []string{}
 	if s.draining.Load() {
 		reasons = append(reasons, "draining")
 	}
 	if s.store != nil && !s.store.Healthy() {
-		reasons = append(reasons, "store degraded (wedged shard)")
+		reasons = append(reasons, "store degraded (wedged)")
 	}
 	if len(reasons) > 0 {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{

@@ -156,7 +156,7 @@ func TestChaosConcurrentSweepsUnderFaults(t *testing.T) {
 		// Reopen the store fault-free: a prior iteration may have wedged
 		// it and skipped its checkpoint — reopening must replay cleanly.
 		st, err := store.Open(store.Options{
-			Dir: dir, Shards: 2, PoolPages: 16, PageSize: 512,
+			Dir: dir, PoolPages: 16, PageSize: 512,
 			SegmentBytes: 8 << 10, WALSegmentBytes: 8 << 10,
 			Peer: store.NewHTTPPeer([]string{peerSrv.URL}, store.HTTPPeerOptions{
 				Timeout: 500 * time.Millisecond, Attempts: 1, Backoff: time.Millisecond,
@@ -259,7 +259,7 @@ func TestChaosConcurrentSweepsUnderFaults(t *testing.T) {
 	}
 
 	// Final fault-free reopen: the store is intact and serves.
-	st, err := store.Open(store.Options{Dir: dir, Shards: 2, PoolPages: 16,
+	st, err := store.Open(store.Options{Dir: dir, PoolPages: 16,
 		PageSize: 512, SegmentBytes: 8 << 10, WALSegmentBytes: 8 << 10})
 	if err != nil {
 		t.Fatalf("final reopen: %v", err)

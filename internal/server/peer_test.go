@@ -95,7 +95,7 @@ func TestServerPeerWarmFillOverHTTP(t *testing.T) {
 		ProbeAfter: time.Hour, // no half-open probes inside this test
 	})
 	stB, err := store.Open(store.Options{
-		Dir: t.TempDir(), Shards: 2, PageSize: 512, PoolPages: 64, Peer: peer,
+		Dir: t.TempDir(), PageSize: 512, PoolPages: 64, Peer: peer,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -269,7 +269,7 @@ func TestReadyzDrainSequence(t *testing.T) {
 // flips /readyz to 503 and surfaces in /v1/stats, while compute
 // requests keep succeeding (degraded to cache-only).
 func TestReadyzReflectsWedgedStore(t *testing.T) {
-	st, err := store.Open(store.Options{Dir: t.TempDir(), Shards: 1, PoolPages: 16})
+	st, err := store.Open(store.Options{Dir: t.TempDir(), PoolPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,8 +305,8 @@ func TestReadyzReflectsWedgedStore(t *testing.T) {
 		t.Fatalf("/readyz with wedged store = %d, want 503", resp.StatusCode)
 	}
 	stats := getStats(t, ts)
-	if stats.Store == nil || stats.Store.WedgedShards != 1 {
-		t.Fatalf("stats.store.wedged_shards missing: %+v", stats.Store)
+	if stats.Store == nil || !stats.Store.Wedged {
+		t.Fatalf("stats.store.wedged missing: %+v", stats.Store)
 	}
 
 	// Compute still works: write-through failures degrade to cache-only.

@@ -361,8 +361,8 @@ type StatsResponse struct {
 	// paid versus shared across every sweep the service has run.
 	Sweeps SweepStats `json:"sweeps"`
 	// Store, present when a durable result store is attached, reports
-	// WAL/pool/shard counters and per-shard sizes (including any shards
-	// wedged read-only after a durability failure).
+	// its WAL, pool, segment and peer counters and whether it wedged
+	// read-only after a durability failure.
 	Store *store.Stats `json:"store,omitempty"`
 	// Admission, present when MaxInFlight is configured, reports the
 	// compute-endpoint overload guard: in-flight/queued gauges and

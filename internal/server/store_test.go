@@ -18,7 +18,7 @@ import (
 
 func openTestStore(t *testing.T, dir string) *store.Store {
 	t.Helper()
-	st, err := store.Open(store.Options{Dir: dir, Shards: 2, PageSize: 512, PoolPages: 64})
+	st, err := store.Open(store.Options{Dir: dir, PageSize: 512, PoolPages: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestSimulateStoreHitFlaggedCached(t *testing.T) {
 }
 
 // jsonKeyPaths flattens a decoded JSON value into sorted dotted key
-// paths ("wal.fsyncs", "shards.#.pool.hits"), with array elements
+// paths ("wal.fsyncs", "peers.#.hits"), with array elements
 // collapsed — a structural fingerprint that pins the wire shape without
 // pinning values.
 func jsonKeyPaths(prefix string, v any, out map[string]bool) {
@@ -238,34 +238,8 @@ func TestStatsStoreShape(t *testing.T) {
 		"pool.pages",
 		"pool.writebacks",
 		"puts",
-		"shards",
-		"shards.#.compactions",
-		"shards.#.dead_bytes",
-		"shards.#.deletes",
-		"shards.#.disk_bytes",
-		"shards.#.entries",
-		"shards.#.gets",
-		"shards.#.hits",
-		"shards.#.live_bytes",
-		"shards.#.pool",
-		"shards.#.pool.capacity",
-		"shards.#.pool.evictions",
-		"shards.#.pool.hits",
-		"shards.#.pool.misses",
-		"shards.#.pool.pages",
-		"shards.#.pool.writebacks",
-		"shards.#.puts",
-		"shards.#.reclaimed_bytes",
-		"shards.#.segments",
-		"shards.#.wal",
-		"shards.#.wal.appended_bytes",
-		"shards.#.wal.appends",
-		"shards.#.wal.fsyncs",
-		"shards.#.wal.replay_records",
-		"shards.#.wal.rotations",
-		"shards.#.wal.segments",
-		"shards.#.wal.syncs",
-		"shards.#.wal.truncated_bytes",
+		"reclaimed_bytes",
+		"segments",
 		"wal",
 		"wal.appended_bytes",
 		"wal.appends",
@@ -275,7 +249,7 @@ func TestStatsStoreShape(t *testing.T) {
 		"wal.segments",
 		"wal.syncs",
 		"wal.truncated_bytes",
-		"wedged_shards",
+		"wedged",
 	}
 	if !reflect.DeepEqual(paths, golden) {
 		gotJSON, _ := json.MarshalIndent(paths, "", "  ")

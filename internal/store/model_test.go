@@ -16,23 +16,22 @@ import (
 // It closes every WAL and segment handle without flushing or fsyncing,
 // so long sequences of crashes do not leak file descriptors.
 func crash(st *Store) {
-	for _, sh := range st.shards {
-		sh.closed.Store(true)
-		sh.mu.Lock()
-		sh.wal.mu.Lock()
-		if sh.wal.f != nil {
-			sh.wal.f.Close()
-			sh.wal.f, sh.wal.w = nil, nil
-		}
-		sh.wal.mu.Unlock()
-		sh.fmu.Lock()
-		for seq, f := range sh.files {
-			f.Close()
-			delete(sh.files, seq)
-		}
-		sh.fmu.Unlock()
-		sh.mu.Unlock()
+	sh := st.Shard
+	sh.closed.Store(true)
+	sh.mu.Lock()
+	sh.wal.mu.Lock()
+	if sh.wal.f != nil {
+		sh.wal.f.Close()
+		sh.wal.f, sh.wal.w = nil, nil
 	}
+	sh.wal.mu.Unlock()
+	sh.fmu.Lock()
+	for seq, f := range sh.files {
+		f.Close()
+		delete(sh.files, seq)
+	}
+	sh.fmu.Unlock()
+	sh.mu.Unlock()
 }
 
 // The model's operations. A program is a byte string read two bytes at
@@ -79,8 +78,8 @@ func modelValue(step, size int) []byte {
 	return v
 }
 
-// storeModel runs a program against a store on smallOpts (2 shards,
-// 512 B pages: rotation, eviction and spanning pages all happen) and
+// storeModel runs a program against a store on smallOpts (512 B pages,
+// 16 frames: rotation, eviction and spanning pages all happen) and
 // checks the store against a map oracle after every operation.
 type storeModel struct {
 	t      testing.TB

@@ -14,8 +14,7 @@
 //	             the pages plus the WAL tail on open.
 //	Buffer pool— a fixed-capacity LRU page cache with pin/unpin,
 //	             dirty-page writeback and hit/miss/eviction counters.
-//	Ring       — a consistent-hash router mapping keys across N local
-//	             shards (each shard = its own WAL + segments + pool),
+//	Store      — one Shard (WAL + segments + pool) in one directory,
 //	             with a PeerFiller hook so a miss can warm-fill from a
 //	             peer replica before the caller recomputes.
 //

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,9 +26,9 @@ import (
 // replay trusts only what was acknowledged before the failure.
 var ErrWedged = errors.New("store: shard wedged (degraded read-only after durability failure)")
 
-// shardMeta is the atomically-replaced shard manifest: which segment
-// epoch is live and up to which LSN the pages already contain every
-// record (so replay can skip the WAL prefix).
+// shardMeta is the atomically-replaced shard manifest: the page size,
+// which segment epoch is live and up to which LSN the pages already
+// contain every record (so replay can skip the WAL prefix).
 type shardMeta struct {
 	Version       int    `json:"version"`
 	Epoch         uint64 `json:"epoch"`
@@ -62,8 +63,10 @@ type ShardStats struct {
 	WAL            WALStats  `json:"wal"`
 	Pool           PoolStats `json:"pool"`
 	// Wedged reports degraded read-only mode after a durability failure
-	// (see ErrWedged); WedgeReason carries the failure that caused it.
-	Wedged      bool   `json:"wedged,omitempty"`
+	// (see ErrWedged): Puts fail and /readyz reports the replica unready,
+	// while reads keep serving. WedgeReason carries the failure that
+	// caused it.
+	Wedged      bool   `json:"wedged"`
 	WedgeReason string `json:"wedge_reason,omitempty"`
 }
 
@@ -74,8 +77,8 @@ type entryRef struct {
 	size uint32
 }
 
-// Shard is one independent store partition: its own WAL, segment
-// files, buffer pool and index. Safe for concurrent use.
+// Shard is the store's storage engine in one directory: its WAL,
+// segment files, buffer pool and index. Safe for concurrent use.
 type Shard struct {
 	dir       string
 	pageSize  int
@@ -115,30 +118,39 @@ type Shard struct {
 // manifest, removes stray files from interrupted compactions, rebuilds
 // the index from the segment pages and replays the WAL tail on top.
 // New appends go to a fresh segment and WAL segment, each created when
-// first written, with LSNs continuing past the checkpoint.
+// first written, with LSNs continuing past the checkpoint. A zero
+// opt.PageSize adopts the persisted page size; any other mismatch is
+// an error.
 func OpenShard(dir string, opt Options) (*Shard, error) {
+	adoptPageSize := opt.PageSize <= 0
 	opt = opt.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	meta, err := readShardMeta(filepath.Join(dir, "META"))
-	if err != nil {
-		return nil, err
-	}
-	if meta.PageSize == 0 {
-		meta.PageSize = opt.PageSize
-	}
 	s := &Shard{
 		dir:             dir,
-		pageSize:        meta.PageSize,
+		pageSize:        opt.PageSize,
 		segMax:          opt.SegmentBytes,
 		walSegMax:       opt.WALSegmentBytes,
 		index:           map[string]entryRef{},
-		epoch:           meta.Epoch,
-		checkpointLSN:   meta.CheckpointLSN,
 		files:           map[uint32]*os.File{},
 		compactFrac:     opt.CompactFraction,
 		compactMinBytes: opt.CompactMinBytes,
+	}
+	meta, err := readShardMeta(filepath.Join(dir, "META"))
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		// A fresh shard persists its page size before any page exists:
+		// pool evictions write pages long before the first checkpoint,
+		// and a reopen must read them at the size they were written at.
+		err = s.writeMeta(0, 0)
+	case err == nil && !adoptPageSize && meta.PageSize != opt.PageSize:
+		err = fmt.Errorf("store: %s was created with page size %d, opened with %d", dir, meta.PageSize, opt.PageSize)
+	case err == nil:
+		s.pageSize, s.epoch, s.checkpointLSN = meta.PageSize, meta.Epoch, meta.CheckpointLSN
+	}
+	if err != nil {
+		return nil, err
 	}
 	s.pool = newBufferPool((*shardIO)(s), opt.PoolPages)
 	if err := s.removeStraySegments(); err != nil {
@@ -166,20 +178,19 @@ func OpenShard(dir string, opt Options) (*Shard, error) {
 	return s, nil
 }
 
+// readShardMeta reads the manifest at path; a missing one returns an
+// error matching fs.ErrNotExist.
 func readShardMeta(path string) (shardMeta, error) {
 	var m shardMeta
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return shardMeta{Version: shardMetaVersion}, nil
-	}
 	if err != nil {
 		return m, err
 	}
 	if err := json.Unmarshal(data, &m); err != nil {
 		return m, fmt.Errorf("store: corrupt META %s: %w", path, err)
 	}
-	if m.Version != shardMetaVersion {
-		return m, fmt.Errorf("store: META %s version %d unsupported", path, m.Version)
+	if m.Version != shardMetaVersion || m.PageSize < 512 {
+		return m, fmt.Errorf("store: META %s unsupported: version %d, page size %d", path, m.Version, m.PageSize)
 	}
 	return m, nil
 }
@@ -626,14 +637,14 @@ func (s *Shard) Len() int {
 	return len(s.index)
 }
 
-// Checkpoint makes the pages cover every acknowledged record: seals
-// the tail, writes back all dirty pages, fsyncs the segments, swaps
-// the manifest, and drops the now-redundant WAL prefix. A shard with
-// nothing appended since its last checkpoint is already covered and
-// writes nothing. A wedged shard refuses: advancing the checkpoint LSN
-// past data whose durability is unknown would let a later reopen skip
-// WAL records it still needs.
-func (s *Shard) Checkpoint() error {
+// Flush checkpoints: it makes the pages cover every acknowledged
+// record — seals the tail, writes back all dirty pages, fsyncs the
+// segments, swaps the manifest — and drops the now-redundant WAL
+// prefix. A shard with nothing appended since its last checkpoint is
+// already covered and writes nothing. A wedged shard refuses: advancing
+// the checkpoint LSN past data whose durability is unknown would let a
+// later reopen skip WAL records it still needs.
+func (s *Shard) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.checkpointLocked()
@@ -665,7 +676,8 @@ func (s *Shard) checkpointLocked() error {
 	}
 	s.checkpointLSN = lsn
 	// Roll the log so the segment holding the now-redundant records is
-	// inactive and can be dropped.
+	// inactive and can be dropped. The Sync above covered every record in
+	// it, so the rotation closes it without another fsync.
 	if err := s.wal.Rotate(); err != nil {
 		return s.wedge(err)
 	}
@@ -706,9 +718,12 @@ func (s *Shard) maybeCompactAsync() {
 }
 
 // Compact rewrites every live entry into a fresh segment epoch,
-// reclaiming dead space, then atomically swaps the manifest. The shard
-// is write-locked for the duration (stop-the-world; shards are small
-// by design — the ring spreads load across many).
+// reclaiming dead space, then atomically swaps the manifest. The store
+// is write-locked for the duration (stop-the-world), which lasts as
+// long as rewriting the live bytes takes. The background trigger keeps
+// passes rare: it starts one only once the store holds CompactMinBytes
+// and dead bytes exceed CompactFraction of the total, so every pass
+// reclaims at least that fraction of the footprint.
 func (s *Shard) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -18,7 +18,6 @@ import (
 func smallOpts(dir string) Options {
 	return Options{
 		Dir:             dir,
-		Shards:          2,
 		PoolPages:       16,
 		PageSize:        512,
 		SegmentBytes:    8 << 10,
@@ -148,11 +147,7 @@ func TestStoreSurvivesRestart(t *testing.T) {
 			}
 			if !clean {
 				// The crash path must have replayed from the WAL.
-				var replayed uint64
-				for _, sh := range st2.Stats().Shards {
-					replayed += sh.WAL.ReplayRecords
-				}
-				if replayed == 0 {
+				if replayed := st2.Stats().WAL.ReplayRecords; replayed == 0 {
 					t.Fatal("crash reopen replayed nothing")
 				}
 			}
@@ -182,16 +177,55 @@ func TestStoreCheckpointTrimsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	var replayed uint64
-	for _, sh := range st2.Stats().Shards {
-		replayed += sh.WAL.ReplayRecords
-	}
-	if replayed != 0 {
+	if replayed := st2.Stats().WAL.ReplayRecords; replayed != 0 {
 		t.Fatalf("replayed %d records after checkpoint, want 0", replayed)
 	}
 	for i := 0; i < 40; i++ {
 		if _, ok, err := st2.Get(fmt.Sprintf("key-%03d", i)); !ok || err != nil {
 			t.Fatalf("key %d missing after checkpointed reopen", i)
+		}
+	}
+}
+
+// TestStoreFlushAfterSyncedPutsRecovery: a checkpoint after acknowledged
+// Puts adds no WAL fsync — its rotation closes a segment whose records
+// the Puts' Syncs already made durable, and the checkpoint deletes it —
+// and a crash right after still recovers every key.
+func TestStoreFlushAfterSyncedPutsRecovery(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(smallOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := st.Put(fmt.Sprintf("key-%03d", i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal := st.Stats().WAL
+	if wal.Rotations == 0 || wal.Fsyncs < n {
+		t.Fatalf("%d puts: %d WAL rollovers, %d fsyncs; want a rollover and a fsync per put", n, wal.Rotations, wal.Fsyncs)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().WAL.Fsyncs; got != wal.Fsyncs {
+		t.Fatalf("Flush after synced puts added %d WAL fsyncs, want 0", got-wal.Fsyncs)
+	}
+	crash(st)
+
+	st, err = Open(smallOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got := st.Len(); got != n {
+		t.Fatalf("len %d after crash recovery, want %d", got, n)
+	}
+	for i := 0; i < n; i++ {
+		if v, ok, err := st.Get(fmt.Sprintf("key-%03d", i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+			t.Fatalf("key %d lost after flush and crash (ok=%v err=%v)", i, ok, err)
 		}
 	}
 }
@@ -280,7 +314,7 @@ func TestStoreRecoveryCountsOnlyAppliedRecords(t *testing.T) {
 	if err := st.Put("key", val(1)); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "shard-*", "wal", "wal-*.log"))
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.log"))
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("WAL segments after one put: %v (err %v), want one", segs, err)
 	}
@@ -311,18 +345,15 @@ func TestStoreRecoveryCountsOnlyAppliedRecords(t *testing.T) {
 	}
 }
 
-// checkpointLSNs reads every shard's META checkpoint_lsn.
+// checkpointLSNs reads the store's META checkpoint_lsn (one shard, so
+// one entry).
 func checkpointLSNs(t *testing.T, dir string) []uint64 {
 	t.Helper()
-	var lsns []uint64
-	for i := 0; i < smallOpts("").Shards; i++ {
-		m, err := readShardMeta(filepath.Join(dir, fmt.Sprintf("shard-%03d", i), "META"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lsns = append(lsns, m.CheckpointLSN)
+	m, err := readShardMeta(filepath.Join(dir, "META"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return lsns
+	return []uint64{m.CheckpointLSN}
 }
 
 // TestStoreCleanRestartLeavesDirUnchanged: restarting a store with no
@@ -717,24 +748,19 @@ func TestStoreManifestPinsGeometry(t *testing.T) {
 	}
 	st.Close()
 	bad := smallOpts(dir)
-	bad.Shards = 5
-	if _, err := Open(bad); err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Fatalf("reshard silently accepted: %v", err)
-	}
-	bad = smallOpts(dir)
 	bad.PageSize = 4096
 	if _, err := Open(bad); err == nil || !strings.Contains(err.Error(), "page size") {
 		t.Fatalf("page-size change silently accepted: %v", err)
 	}
 }
 
-// TestStoreReopenAdoptsManifest: a store created with non-default
-// geometry must reopen with zero-value options — the zero values adopt
-// the persisted shard count and page size instead of being defaulted
-// into a mismatch error.
+// TestStoreReopenAdoptsManifest: a store created with a non-default
+// page size must reopen with zero-value options — the zero value adopts
+// the persisted page size instead of being defaulted into a mismatch
+// error.
 func TestStoreReopenAdoptsManifest(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, Shards: 8, PageSize: 4096})
+	st, err := Open(Options{Dir: dir, PageSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,13 +777,9 @@ func TestStoreReopenAdoptsManifest(t *testing.T) {
 	// Reopen with nothing but the directory — the default-flags restart.
 	st2, err := Open(Options{Dir: dir})
 	if err != nil {
-		t.Fatalf("zero-value reopen of a shards=8 store: %v", err)
+		t.Fatalf("zero-value reopen of a 4096 B page store: %v", err)
 	}
 	defer st2.Close()
-	stats := st2.Stats()
-	if len(stats.Shards) != 8 {
-		t.Fatalf("adopted %d shards, want 8", len(stats.Shards))
-	}
 	if st2.Len() != n {
 		t.Fatalf("reopened len %d, want %d", st2.Len(), n)
 	}
@@ -783,74 +805,128 @@ func TestStoreReopenAdoptsManifest(t *testing.T) {
 	if v, ok, _ := st3.Get("post-adopt"); !ok || !bytes.Equal(v, val(99)) {
 		t.Fatal("write on adopted layout lost")
 	}
-	// Explicit conflicts still refuse loudly.
-	if _, err := Open(Options{Dir: dir, Shards: 4}); err == nil || !strings.Contains(err.Error(), "shards") {
-		t.Fatalf("explicit shard conflict accepted: %v", err)
-	}
+	// An explicit conflict still refuses loudly.
 	if _, err := Open(Options{Dir: dir, PageSize: 8192}); err == nil || !strings.Contains(err.Error(), "page size") {
 		t.Fatalf("explicit page-size conflict accepted: %v", err)
 	}
 }
 
-// TestStorePoolPagesCap: the configured total frame cap must never be
-// silently multiplied. Before the fix, PoolPages < Shards split to 0
-// per shard and re-defaulted to 1024 frames per shard.
+// TestStoreCrashBeforeFirstCheckpointRecovery: the page size is durable
+// from creation. Pool evictions write 512 B pages long before the first
+// checkpoint; after a crash, a zero-options reopen must read them as
+// 512 B pages rather than 8 KiB ones, and must not re-pin the store to
+// the default size for the reopens after it.
+func TestStoreCrashBeforeFirstCheckpointRecovery(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(smallOpts(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for ; st.Stats().Pool.Writebacks == 0; n++ {
+		if n == 1000 {
+			t.Fatal("1000 puts on a 16-frame pool wrote back no page")
+		}
+		if err := st.Put(fmt.Sprintf("key-%04d", n), val(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	crash(st)
+
+	check := func(st *Store, label string) {
+		t.Helper()
+		if got := st.Len(); got != n {
+			t.Fatalf("%s: len %d, want %d", label, got, n)
+		}
+		for i := 0; i < n; i++ {
+			if v, ok, err := st.Get(fmt.Sprintf("key-%04d", i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+				t.Fatalf("%s: key %d lost (ok=%v err=%v)", label, i, ok, err)
+			}
+		}
+	}
+	st, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("zero-options reopen after the crash: %v", err)
+	}
+	check(st, "zero-options reopen")
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(smallOpts(dir))
+	if err != nil {
+		t.Fatalf("512 B reopen after a zero-options one: %v", err)
+	}
+	defer st.Close()
+	check(st, "512 B reopen")
+}
+
+// TestStoreRefusesShardedLayout: a directory in the sharded layout of
+// an earlier version (a STORE manifest over shard-NNN directories) is
+// refused with an error naming it, and Open writes, moves and deletes
+// nothing there.
+func TestStoreRefusesShardedLayout(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"STORE": `{"version":1,"shards":4,"page_size":8192}`,
+	}
+	for i := 0; i < 4; i++ {
+		shard := fmt.Sprintf("shard-%03d", i)
+		files[filepath.Join(shard, "META")] = `{"version":1,"epoch":0,"checkpoint_lsn":3,"page_size":8192}`
+		files[filepath.Join(shard, "seg-0-00000001.dat")] = strings.Repeat("p", 8192)
+		files[filepath.Join(shard, "wal", "wal-0000000000000001.log")] = "TWAL"
+	}
+	for name, data := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := snapshotTree(t, dir)
+
+	st, err := Open(Options{Dir: dir})
+	if err == nil {
+		st.Close()
+		t.Fatal("sharded layout opened")
+	}
+	if msg := err.Error(); !strings.Contains(msg, dir) || !strings.Contains(msg, "sharded layout of an earlier version") {
+		t.Fatalf("refusal %q does not name %s and its sharded layout", msg, dir)
+	}
+	if after := snapshotTree(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("refused Open changed the directory")
+	}
+}
+
+// TestStorePoolPagesCap: the configured frame cap is what the pool
+// gets — never silently re-defaulted to 1024 — floored at 4 frames
+// (pin-safety). The case names keep the shard counts of the sharded
+// store's table, which split PoolPages over that many pools; each now
+// opens one pool, within the max(PoolPages, 4*shards) total the
+// sharded store was held to.
 func TestStorePoolPagesCap(t *testing.T) {
 	for _, tc := range []struct {
 		shards, poolPages int
 	}{
-		{1, 2}, {2, 2}, {4, 2}, {8, 2}, // cap below shard count
-		{2, 64}, {4, 64}, // clean splits
+		{1, 1}, {1, 2}, {2, 2}, {4, 2}, {8, 2}, // cap below the floor
+		{1, 4}, {2, 64}, {4, 64},
 		{4, 1024}, {8, 1024}, // default-scale
 	} {
 		t.Run(fmt.Sprintf("shards=%d,pool=%d", tc.shards, tc.poolPages), func(t *testing.T) {
 			opt := smallOpts(t.TempDir())
-			opt.Shards = tc.shards
 			opt.PoolPages = tc.poolPages
 			st, err := Open(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer st.Close()
-			total := 0
-			for _, sh := range st.Stats().Shards {
-				total += sh.Pool.Capacity
+			if got, want := st.Stats().Pool.Capacity, max(tc.poolPages, 4); got != want {
+				t.Errorf("PoolPages %d: pool capacity %d, want %d", tc.poolPages, got, want)
 			}
-			// The pool floors each shard at 4 frames (pin-safety), so the
-			// hard invariant is max(PoolPages, 4*Shards) — never the old
-			// failure mode of 1024 frames per shard.
-			limit := tc.poolPages
-			if min := 4 * tc.shards; min > limit {
-				limit = min
-			}
-			if total > limit {
-				t.Fatalf("total pool capacity %d exceeds cap %d", total, limit)
-			}
-			if tc.poolPages >= 4*tc.shards && total != tc.poolPages {
-				t.Fatalf("total pool capacity %d, want the configured %d", total, tc.poolPages)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
 			}
 		})
-	}
-}
-
-func TestRingDeterministicAndSpread(t *testing.T) {
-	r1, r2 := NewRing(4), NewRing(4)
-	counts := make([]int, 4)
-	for i := 0; i < 4000; i++ {
-		key := fmt.Sprintf("scenario-key-%d", i)
-		a, b := r1.Owner(key), r2.Owner(key)
-		if a != b {
-			t.Fatalf("ring not deterministic for %q: %d vs %d", key, a, b)
-		}
-		counts[a]++
-	}
-	for s, c := range counts {
-		if c < 400 {
-			t.Fatalf("shard %d starved: %v", s, counts)
-		}
-	}
-	if NewRing(1).Owner("anything") != 0 {
-		t.Fatal("single-shard ring must own everything")
 	}
 }
 

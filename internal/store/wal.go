@@ -45,8 +45,8 @@ type WALStats struct {
 	AppendedBytes uint64 `json:"appended_bytes"`
 	// Syncs counts durability requests (one per acknowledged Put).
 	Syncs uint64 `json:"syncs"`
-	// Fsyncs counts physical fsync calls; the gap to Syncs is the
-	// group-commit batching.
+	// Fsyncs counts physical fsync calls, a size rollover's and Close's
+	// included; the gap to Syncs is the group-commit batching.
 	Fsyncs uint64 `json:"fsyncs"`
 	// Rotations counts segment rollovers.
 	Rotations uint64 `json:"rotations"`
@@ -59,7 +59,7 @@ type WALStats struct {
 	TruncatedBytes uint64 `json:"truncated_bytes"`
 }
 
-// WAL is one shard's write-ahead log: an append-only sequence of
+// WAL is the store's write-ahead log: an append-only sequence of
 // checksummed records across rotating segment files. Appends are
 // buffered; Sync makes everything appended so far durable, batching
 // concurrent callers behind a single fsync (group commit).
@@ -250,25 +250,30 @@ func (w *WAL) replaySegment(seq, checkpointLSN uint64, apply func(Record) error)
 	return lastLSN, n, nil
 }
 
-// rotateLocked closes the active segment (if any) and starts the next
-// one. Callers hold w.mu.
+// rotateLocked closes the active segment (if any), fsyncing the
+// records it holds, and starts the next one. Callers hold w.mu.
 func (w *WAL) rotateLocked() error {
 	if w.f != nil {
-		if err := w.closeSegmentLocked(); err != nil {
+		if err := w.closeSegmentLocked(false); err != nil {
 			return err
 		}
 	}
 	return w.openSegmentLocked()
 }
 
-// closeSegmentLocked flushes, fsyncs and closes the active segment,
-// leaving none: the next Append starts a fresh one. Callers hold w.mu.
-func (w *WAL) closeSegmentLocked() error {
+// closeSegmentLocked flushes and closes the active segment, leaving
+// none: the next Append starts a fresh one. It fsyncs the segment first
+// unless synced says the last Sync already made every record in it
+// durable. Callers hold w.mu.
+func (w *WAL) closeSegmentLocked(synced bool) error {
 	if err := w.w.Flush(); err != nil {
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
+	if !synced {
+		if err := w.f.Sync(); err != nil {
+			return err
+		}
+		w.stats.Fsyncs++
 	}
 	if err := w.f.Close(); err != nil {
 		return err
@@ -368,7 +373,8 @@ func (w *WAL) Sync(lsn uint64) error {
 	f := w.f
 	if f == nil {
 		// No active segment: the rotation that closed the last one
-		// fsynced it, and open counted everything before it as synced.
+		// fsynced it or found it synced, and open counted everything
+		// before it as synced.
 		w.mu.Unlock()
 		w.syncedLSN = target
 		return nil
@@ -381,9 +387,10 @@ func (w *WAL) Sync(lsn uint64) error {
 	if err := fault.Do("store.wal.fsync"); err != nil {
 		return w.fail(err)
 	}
-	// A rotation between the flush above and this fsync closes f — but
-	// rotateLocked fsyncs the outgoing segment first, so the records are
-	// already durable and a closed file here means success.
+	// A size rollover between the flush above and this fsync closes f —
+	// but rotateLocked fsyncs the outgoing segment first, so the records
+	// are already durable and a closed file here means success. (Rotate
+	// cannot interleave: it holds syncMu.)
 	if err := f.Sync(); err != nil && !errors.Is(err, os.ErrClosed) {
 		return w.fail(err)
 	}
@@ -396,14 +403,19 @@ func (w *WAL) Sync(lsn uint64) error {
 
 // Rotate closes the active segment (if it holds any records), so a
 // following DropBefore can reclaim it once a checkpoint makes its
-// records redundant. The next Append starts a fresh segment.
+// records redundant. The next Append starts a fresh segment. A segment
+// whose every record the last Sync covered closes without an fsync:
+// it adds no durability, and a checkpoint deletes the file right after.
 func (w *WAL) Rotate() error {
+	w.syncMu.Lock() // syncedLSN is guarded by syncMu
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, dirty := w.segLast[w.seq]; w.f == nil || !dirty {
+	last, dirty := w.segLast[w.seq]
+	if w.f == nil || !dirty {
 		return nil
 	}
-	return w.closeSegmentLocked()
+	return w.closeSegmentLocked(last <= w.syncedLSN)
 }
 
 // LastLSN returns the highest LSN appended, or resumed past at open.
@@ -469,6 +481,7 @@ func (w *WAL) Close() error {
 	if err := w.f.Sync(); err != nil {
 		return w.fail(err)
 	}
+	w.stats.Fsyncs++
 	err := w.f.Close()
 	w.f = nil
 	return err

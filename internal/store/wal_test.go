@@ -199,6 +199,10 @@ func TestWALRotationAndDrop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Each rollover fsyncs the segment it closes, and Fsyncs counts it.
+	if st := w.Stats(); st.Fsyncs != st.Rotations {
+		t.Fatalf("%d fsyncs for %d rollovers and no Sync, want one each", st.Fsyncs, st.Rotations)
+	}
 	if err := w.Sync(last); err != nil {
 		t.Fatal(err)
 	}

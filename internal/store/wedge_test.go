@@ -9,14 +9,6 @@ import (
 	"repro/internal/fault"
 )
 
-// oneShard keeps the whole store on a single shard so an injected fault
-// deterministically wedges the shard every Put lands on.
-func oneShard(dir string) Options {
-	o := smallOpts(dir)
-	o.Shards = 1
-	return o
-}
-
 // TestShardWedgeAfterFsyncFailureRecovery is the fsyncgate property: a
 // failed WAL fsync permanently wedges the shard into degraded read-only
 // mode — a later fsync "success" proves nothing about the pages the
@@ -25,7 +17,7 @@ func oneShard(dir string) Options {
 // was acknowledged before the failure.
 func TestShardWedgeAfterFsyncFailureRecovery(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(oneShard(dir))
+	st, err := Open(smallOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,20 +68,11 @@ func TestShardWedgeAfterFsyncFailureRecovery(t *testing.T) {
 		t.Fatal("wedged store reports healthy")
 	}
 	stats := st.Stats()
-	if stats.WedgedShards != 1 {
-		t.Fatalf("WedgedShards = %d, want 1", stats.WedgedShards)
+	if !stats.Wedged {
+		t.Fatal("stats do not report Wedged")
 	}
-	var sawWedged bool
-	for _, sh := range stats.Shards {
-		if sh.Wedged {
-			sawWedged = true
-			if sh.WedgeReason == "" {
-				t.Fatal("wedged shard has empty WedgeReason")
-			}
-		}
-	}
-	if !sawWedged {
-		t.Fatal("no shard reports Wedged in stats")
+	if stats.WedgeReason == "" {
+		t.Fatal("wedged store has empty WedgeReason")
 	}
 
 	// Close must not attempt a checkpoint (it would advance the
@@ -97,7 +80,7 @@ func TestShardWedgeAfterFsyncFailureRecovery(t *testing.T) {
 	// handles. Reopening fault-free replays the WAL to the last
 	// trustworthy state: every acknowledged write is there.
 	_ = st.Close()
-	st2, err := Open(oneShard(dir))
+	st2, err := Open(smallOpts(dir))
 	if err != nil {
 		t.Fatalf("reopen after wedge: %v", err)
 	}
@@ -123,7 +106,7 @@ func TestShardWedgeAfterFsyncFailureRecovery(t *testing.T) {
 // reopen recovers from the WAL (the torn page is rejected by its CRC).
 func TestShardWedgeAfterWritebackTornWriteRecovery(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(oneShard(dir))
+	st, err := Open(smallOpts(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +138,7 @@ func TestShardWedgeAfterWritebackTornWriteRecovery(t *testing.T) {
 	}
 
 	_ = st.Close()
-	st2, err := Open(oneShard(dir))
+	st2, err := Open(smallOpts(dir))
 	if err != nil {
 		t.Fatalf("reopen after torn writeback: %v", err)
 	}
@@ -165,55 +148,5 @@ func TestShardWedgeAfterWritebackTornWriteRecovery(t *testing.T) {
 		if err != nil || !ok || !bytes.Equal(v, val(i)) {
 			t.Fatalf("post-reopen read %d: ok=%v err=%v", i, ok, err)
 		}
-	}
-}
-
-// TestStoreHealthySurvivesPartialWedge: with several shards, wedging
-// one leaves the others writable while Healthy() and WedgedShards
-// report the degradation.
-func TestStoreHealthySurvivesPartialWedge(t *testing.T) {
-	st, err := Open(smallOpts(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	t.Cleanup(fault.Disable)
-	fault.Enable(fault.New(1, fault.Rule{Point: "store.wal.fsync", Mode: fault.ModeError, Times: 1}))
-	// Drive Puts until the single-shot rule wedges whichever shard the
-	// first synced Put lands on.
-	var wedgedOnce bool
-	for i := 0; i < 50; i++ {
-		if err := st.Put(fmt.Sprintf("w-%03d", i), val(i)); err != nil {
-			wedgedOnce = true
-			break
-		}
-	}
-	fault.Disable()
-	if !wedgedOnce {
-		t.Fatal("injected fsync fault never fired")
-	}
-	if st.Healthy() {
-		t.Fatal("store healthy with a wedged shard")
-	}
-	if got := st.Stats().WedgedShards; got != 1 {
-		t.Fatalf("WedgedShards = %d, want 1", got)
-	}
-	// The other shard still accepts writes: spray keys and require at
-	// least one success and at least one ErrWedged.
-	var oks, wedged int
-	for i := 0; i < 50; i++ {
-		err := st.Put(fmt.Sprintf("x-%03d", i), val(i))
-		switch {
-		case err == nil:
-			oks++
-		case errors.Is(err, ErrWedged):
-			wedged++
-		default:
-			t.Fatalf("unexpected Put error: %v", err)
-		}
-	}
-	if oks == 0 || wedged == 0 {
-		t.Fatalf("partial wedge not partial: %d ok, %d wedged", oks, wedged)
 	}
 }
