@@ -918,12 +918,10 @@ func BenchmarkFactorAMD(b *testing.B) { benchFactorOrdering(b, mat.OrderingAMD) 
 
 func BenchmarkFactorND(b *testing.B) { benchFactorOrdering(b, mat.OrderingND) }
 
-// BenchmarkSerialRefactor / BenchmarkParallelRefactor pin the
-// numeric-only refresh of the nd-ordered stack factors — serial replay
-// versus the elimination-forest schedule (which falls back to serial
-// below two workers, so the pair coincides on a single-core runner).
-func benchRefactor(b *testing.B, workers int) {
-	b.Helper()
+// BenchmarkSerialRefactor pins the numeric-only refresh of the
+// nd-ordered stack factors: one pass of the refactor kernel over the
+// frozen fill pattern, which allocates nothing.
+func BenchmarkSerialRefactor(b *testing.B) {
 	a := stackConductance(b)
 	f, err := mat.NewSparseLUOrdered(a, mat.OrderMatrix(mat.OrderingND, a))
 	if err != nil {
@@ -932,15 +930,11 @@ func benchRefactor(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := mat.ParallelRefactor(f, a, workers); err != nil {
+		if err := f.Refactor(a); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkSerialRefactor(b *testing.B) { benchRefactor(b, 1) }
-
-func BenchmarkParallelRefactor(b *testing.B) { benchRefactor(b, 0) }
 
 // BenchmarkNanofluids regenerates the coolant exploration (water,
 // nanofluid loadings, dielectric) on the 2-tier stack.

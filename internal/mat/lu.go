@@ -2,7 +2,6 @@ package mat
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 )
 
@@ -56,17 +55,18 @@ type SparseLU struct {
 
 	wbuf []float64 // dense accumulator reused across Refactor calls
 
-	// ordering names the fill-reducing ordering perm came from; tree is
-	// the elimination-task forest enabling parallel factorisation (nil
-	// for orderings without one). Both immutable, shared by clones.
+	// ordering names the fill-reducing ordering perm came from;
+	// immutable, shared by clones.
 	ordering string
-	tree     *ETree
 }
 
 // NewSparseLU factors a under the symmetric ordering perm (perm[new] =
 // old; nil keeps the natural order). Every row must carry a structural
 // diagonal — true for any grounded thermal system — and elimination must
-// not produce an exactly zero pivot, else ErrSingular is returned.
+// not produce an exactly zero pivot, else ErrSingular is returned. It
+// discovers the fill and computes the values in one merged pass; it is
+// the fallback of NewSparseLUOrdered's split cold factor, which must
+// match it bit for bit.
 func NewSparseLU(a *Sparse, perm []int) (*SparseLU, error) {
 	pa := a
 	if perm != nil {
@@ -318,7 +318,7 @@ func (f *SparseLU) Refactor(a *Sparse) error {
 	if f.wbuf == nil {
 		f.wbuf = make([]float64, f.n)
 	}
-	if err := f.refactorRows(a, f.wbuf, 0, f.n); err != nil {
+	if err := f.refactorRows(a, f.wbuf); err != nil {
 		f.clearAccumulator()
 		f.safe = false
 		return err
@@ -326,16 +326,15 @@ func (f *SparseLU) Refactor(a *Sparse) error {
 	return nil
 }
 
-// refactorRows replays the numeric elimination of permuted rows
-// [lo, hi) against the dense accumulator w (length n, zero outside any
-// in-flight pattern; clean again on success). It is the unit of work
-// both the serial Refactor (one call covering [0, n)) and the
-// elimination-tree-parallel schedule (one call per task) execute — the
-// per-row floating-point sequence is identical either way, which is
-// what keeps parallel refactorisation bit-identical to serial. Rows in
-// [lo, hi) may read factor rows produced by earlier calls; the caller
-// orders those dependencies.
-func (f *SparseLU) refactorRows(a *Sparse, w []float64, lo, hi int) error {
+// refactorRows runs the numeric elimination of every permuted row over
+// the fixed L/U pattern, against the dense accumulator w (length n, all
+// zero; clean again on success). Both the split cold factor (over the
+// symbolic pattern) and Refactor (over a prior factor's pattern) run
+// it. Each row performs the floating-point sequence of the merged
+// elimination in NewSparseLU, so the factors are bit-identical to it
+// unless a multiplier is exactly zero: the merged elimination drops
+// that entry, shrinking the pattern, so the row returns an error.
+func (f *SparseLU) refactorRows(a *Sparse, w []float64) error {
 	// Hoist the factor arrays into locals: inside the elimination loops
 	// the compiler cannot otherwise prove the slice headers stable (w
 	// stores could alias the struct), and reloading them per entry costs
@@ -346,7 +345,7 @@ func (f *SparseLU) refactorRows(a *Sparse, w []float64, lo, hi int) error {
 	lPtr, lIdx, lVal := f.lPtr, f.lIdx, f.lVal
 	uPtr, uIdx, uVal := f.uPtr, f.uIdx, f.uVal
 	uDiag := f.uDiag
-	for i := lo; i < hi; i++ {
+	for i := 0; i < f.n; i++ {
 		// Scatter row i of P·A·Pᵀ; fill slots start from the zeros the
 		// previous row's gather left behind.
 		if f.paSrc != nil {
@@ -368,7 +367,7 @@ func (f *SparseLU) refactorRows(a *Sparse, w []float64, lo, hi int) error {
 			if lik == 0 {
 				// The cold factorisation would have dropped this entry,
 				// shrinking the pattern: the replay no longer matches.
-				return fmt.Errorf("mat: SparseLU.Refactor: zero multiplier at row %d: %w", i, ErrSingular)
+				return fmt.Errorf("mat: SparseLU: zero multiplier at row %d: %w", i, ErrSingular)
 			}
 			cols, vals := uIdx[uPtr[k]:uPtr[k+1]], uVal[uPtr[k]:uPtr[k+1]]
 			for q, j := range cols {
@@ -376,7 +375,7 @@ func (f *SparseLU) refactorRows(a *Sparse, w []float64, lo, hi int) error {
 			}
 		}
 		if w[i] == 0 {
-			return fmt.Errorf("mat: SparseLU.Refactor: zero pivot at row %d: %w", i, ErrSingular)
+			return fmt.Errorf("mat: SparseLU: zero pivot at row %d: %w", i, ErrSingular)
 		}
 		uDiag[i] = w[i]
 		w[i] = 0
@@ -428,61 +427,42 @@ func (f *SparseLU) Refactored(a *Sparse) (*SparseLU, error) {
 		paSrc:    f.paSrc,
 		safe:     true,
 		ordering: f.ordering,
-		tree:     f.tree,
 	}
-	// The parallel schedule (a no-op fallback to serial Refactor without
-	// an elimination forest or spare cores) is bit-identical to serial.
-	if err := ParallelRefactor(nf, a, 0); err != nil {
+	if err := nf.Refactor(a); err != nil {
 		return nil, err
 	}
 	return nf, nil
 }
 
-// NewSparseLUOrdered factors a under an ordering choice, attaching the
-// choice's elimination-task forest (when present and valid for the
-// realised fill pattern) so later Refactored/ParallelRefactor calls can
-// run tree-parallel. When the forest and spare cores allow it, the cold
-// numeric elimination itself runs tree-parallel over a symbolic
-// factorisation; any deviation the symbolic split cannot replay
-// bit-identically (a zero multiplier or pivot, an incomplete scatter
-// map) falls back to the serial merged elimination, so the result is
-// always bit-identical to NewSparseLU(a, ch.Perm).
+// NewSparseLUOrdered factors a under an ordering choice. It splits the
+// work NewSparseLU fuses: a pattern-only symbolic elimination sizes the
+// L/U fill exactly, then one pass of Refactor's numeric kernel fills in
+// the values, so the cold factor and every later refresh run the same
+// elimination code. Where the split cannot reproduce the merged
+// elimination (an exactly zero multiplier or pivot, an incomplete
+// scatter map), NewSparseLU(a, ch.Perm) runs instead. Either way the
+// result is bit-identical to NewSparseLU(a, ch.Perm).
 func NewSparseLUOrdered(a *Sparse, ch OrderingChoice) (*SparseLU, error) {
-	if ch.Tree != nil && a.N() >= parallelMinN && runtime.GOMAXPROCS(0) > 1 {
-		if f, err := newSparseLUParallel(a, ch); err == nil {
-			return f, nil
+	f, err := newSparseLUSplit(a, ch.Perm)
+	if err != nil {
+		if f, err = NewSparseLU(a, ch.Perm); err != nil {
+			return nil, err
 		}
 	}
-	f, err := NewSparseLU(a, ch.Perm)
-	if err != nil {
-		return nil, err
-	}
 	f.ordering = ch.Name
-	f.attachTree(ch.Tree)
 	return f, nil
 }
 
-// attachTree adopts the elimination forest after validating it against
-// the realised L pattern; an invalid forest (impossible for a correct
-// separator construction, cheap to rule out) leaves the factorisation
-// serial rather than risking an unordered dependency.
-func (f *SparseLU) attachTree(t *ETree) {
-	if t != nil && t.validFor(f.n, f.lPtr, f.lIdx) {
-		f.tree = t
-	}
-}
-
-// newSparseLUParallel cold-factors a by splitting the work the serial
-// NewSparseLU fuses: a pattern-only symbolic elimination discovers the
-// fill, then the numeric elimination replays tree-parallel over it.
-// With no exactly zero multiplier the symbolic pattern equals the
-// merged one and every row runs the same floating-point sequence, so
-// the factors are bit-identical to the serial path; a zero multiplier
-// (which would shrink the serial pattern) aborts with an error and the
-// caller falls back.
-func newSparseLUParallel(a *Sparse, ch OrderingChoice) (*SparseLU, error) {
+// newSparseLUSplit is the split cold factor behind NewSparseLUOrdered:
+// Permute, symbolicLU, buildScatterMap, then one refactorRows pass.
+// With no exactly zero multiplier the symbolic pattern equals the one
+// the merged elimination discovers and every row runs the same
+// floating-point sequence, so the factors are bit-identical to
+// NewSparseLU(a, perm). It returns an error, and the caller falls back
+// to NewSparseLU, wherever that may not hold. The accumulator becomes
+// wbuf, so the first Refactor allocates nothing.
+func newSparseLUSplit(a *Sparse, perm []int) (*SparseLU, error) {
 	pa := a
-	perm := ch.Perm
 	if perm != nil {
 		var err error
 		pa, err = Permute(a, perm)
@@ -497,36 +477,31 @@ func newSparseLUParallel(a *Sparse, ch OrderingChoice) (*SparseLU, error) {
 		return nil, err
 	}
 	f := &SparseLU{
-		n:        n,
-		perm:     perm,
-		lPtr:     lPtr,
-		lIdx:     lIdx,
-		lVal:     make([]float64, len(lIdx)),
-		uDiag:    make([]float64, n),
-		uPtr:     uPtr,
-		uIdx:     uIdx,
-		uVal:     make([]float64, len(uIdx)),
-		work:     make([]float64, n),
-		src:      a,
-		paPtr:    pa.rowPtr,
-		paIdx:    pa.colIdx,
-		safe:     true,
-		ordering: ch.Name,
+		n:     n,
+		perm:  perm,
+		lPtr:  lPtr,
+		lIdx:  lIdx,
+		lVal:  make([]float64, len(lIdx)),
+		uDiag: make([]float64, n),
+		uPtr:  uPtr,
+		uIdx:  uIdx,
+		uVal:  make([]float64, len(uIdx)),
+		work:  make([]float64, n),
+		src:   a,
+		paPtr: pa.rowPtr,
+		paIdx: pa.colIdx,
+		safe:  true,
 	}
 	f.buildScatterMap(a, pa)
-	if perm != nil && f.paSrc == nil {
-		// Without a complete scatter map the replay cannot read a's
-		// values row-parallel; the serial merged path handles it.
-		return nil, fmt.Errorf("mat: SparseLU parallel factor: incomplete scatter map: %w", ErrSingular)
+	if !f.safe {
+		// The kernel reads a's values through the scatter map; without a
+		// complete one the merged elimination reads the permuted matrix.
+		return nil, fmt.Errorf("mat: SparseLU split factor: incomplete scatter map: %w", ErrSingular)
 	}
-	if !ch.Tree.validFor(n, lPtr, lIdx) {
-		return nil, fmt.Errorf("mat: SparseLU parallel factor: elimination forest invalid for fill pattern: %w", ErrSingular)
-	}
-	f.tree = ch.Tree
-	if err := f.tree.run(n, runtime.GOMAXPROCS(0), func(lo, hi int, w []float64) error {
-		return f.refactorRows(a, w, lo, hi)
-	}); err != nil {
+	w := make([]float64, n)
+	if err := f.refactorRows(a, w); err != nil {
 		return nil, err
 	}
+	f.wbuf = w
 	return f, nil
 }

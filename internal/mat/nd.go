@@ -3,29 +3,24 @@ package mat
 // Nested dissection: recursively split the graph with a vertex
 // separator, number the two halves first and the separator last, and
 // order the leaves with AMD. Eliminating a half can only fill within
-// itself and the separators above it, so the recursion bounds fill —
-// and, because the halves are numbered into disjoint contiguous spans
-// with no cross-dependencies, it yields an elimination-task forest
-// (ETree) whose sibling subtrees factor in parallel.
+// itself and the separators above it, so the recursion bounds fill.
 
 // ndLeafSize bounds the subgraphs nested dissection stops splitting and
-// orders directly with AMD. Small enough to expose parallelism on the
-// stack systems, large enough that AMD (not the bisection overhead)
-// does the fill reduction.
+// orders directly with AMD. It stays 64 because every nd permutation,
+// and with it every result factored under nd, depends on it: a
+// different leaf size changes the bits of those results.
 const ndLeafSize = 64
 
 // NDOrder computes a nested-dissection ordering of a's symmetrised
-// adjacency graph (perm[new] = old) and the matching elimination-task
-// forest. The separator of each bisection is one full BFS level from a
-// pseudo-peripheral root — the narrowest level whose sides stay
-// reasonably balanced — so it is a true vertex separator: no edge joins
-// the two sides. The ordering is a deterministic pure function of the
-// pattern.
-func NDOrder(a *Sparse) ([]int, *ETree) {
+// adjacency graph (perm[new] = old). The separator of each bisection is
+// one full BFS level from a pseudo-peripheral root — the narrowest
+// level whose sides stay reasonably balanced — so it is a true vertex
+// separator: no edge joins the two sides. The ordering is a
+// deterministic pure function of the pattern.
+func NDOrder(a *Sparse) []int {
 	n := a.N()
 	adj := symAdjacency(a)
 	perm := make([]int, n)
-	t := &ETree{}
 
 	// Stamp-based membership and visit marks shared across the (serial)
 	// recursion — no per-level allocation of n-sized scratch.
@@ -34,9 +29,9 @@ func NDOrder(a *Sparse) ([]int, *ETree) {
 	localIdx := make([]int, n)
 	stamp := 0
 
-	// leaf orders sub with AMD on the induced subgraph and emits a leaf
-	// task covering its contiguous span.
-	leaf := func(sub []int, base int) int {
+	// leaf orders sub with AMD on the induced subgraph into the
+	// contiguous span starting at base.
+	leaf := func(sub []int, base int) {
 		stamp++
 		for i, v := range sub {
 			member[v] = stamp
@@ -53,8 +48,6 @@ func NDOrder(a *Sparse) ([]int, *ETree) {
 		for i, li := range amdOrder(ladj) {
 			perm[base+i] = sub[li]
 		}
-		t.nodes = append(t.nodes, etNode{lo: base, hi: base + len(sub), spanLo: base})
-		return len(t.nodes) - 1
 	}
 
 	// levels runs a BFS over the induced subgraph from start, returning
@@ -94,13 +87,14 @@ func NDOrder(a *Sparse) ([]int, *ETree) {
 		return best
 	}
 
-	var build func(sub []int, base int) int
-	build = func(sub []int, base int) int {
+	var build func(sub []int, base int)
+	build = func(sub []int, base int) {
 		if len(sub) <= ndLeafSize {
-			return leaf(sub, base)
+			leaf(sub, base)
+			return
 		}
-		// Split connected components first: each becomes an independent
-		// sibling subtree under a childless-span parent.
+		// Split connected components first: each is ordered on its own,
+		// into consecutive spans.
 		lv := levels(sub, minDeg(sub))
 		reached := 0
 		for _, l := range lv {
@@ -131,20 +125,18 @@ func NDOrder(a *Sparse) ([]int, *ETree) {
 				}
 				comps = append(comps, comp)
 			}
-			var children []int
-			childBase := base
 			for _, comp := range comps {
-				children = append(children, build(comp, childBase))
-				childBase += len(comp)
+				build(comp, base)
+				base += len(comp)
 			}
-			t.nodes = append(t.nodes, etNode{lo: childBase, hi: childBase, spanLo: base, children: children})
-			return len(t.nodes) - 1
+			return
 		}
 		// Connected: re-root at a pseudo-peripheral node (the far end of
 		// the first BFS) for a deep, narrow level structure.
 		lv = levels(sub, minDeg(lv[len(lv)-1]))
 		if len(lv) < 3 {
-			return leaf(sub, base) // too shallow to bisect (near-clique)
+			leaf(sub, base) // too shallow to bisect (near-clique)
+			return
 		}
 		// Separator = the narrowest BFS level whose sides stay within a
 		// 25–75% balance band; lacking one, the level closest to the
@@ -172,14 +164,12 @@ func NDOrder(a *Sparse) ([]int, *ETree) {
 		for _, l := range lv[sep+1:] {
 			right = append(right, l...)
 		}
-		lc := build(left, base)
-		rc := build(right, base+len(left))
+		build(left, base)
+		build(right, base+len(left))
 		lo := base + len(left) + len(right)
 		for i, v := range lv[sep] {
 			perm[lo+i] = v
 		}
-		t.nodes = append(t.nodes, etNode{lo: lo, hi: base + len(sub), spanLo: base, children: []int{lc, rc}})
-		return len(t.nodes) - 1
 	}
 
 	if n > 0 {
@@ -187,7 +177,7 @@ func NDOrder(a *Sparse) ([]int, *ETree) {
 		for i := range all {
 			all[i] = i
 		}
-		t.roots = append(t.roots, build(all, 0))
+		build(all, 0)
 	}
-	return perm, t
+	return perm
 }

@@ -13,9 +13,7 @@ import (
 //	natural — identity (no reordering)
 //	rcm     — reverse Cuthill–McKee (bandwidth-oriented; see rcm.go)
 //	amd     — approximate minimum degree (see amd.go)
-//	nd      — nested dissection by recursive BFS bisection (see nd.go);
-//	          additionally yields the elimination-task forest that
-//	          parallelises the numeric factorisation (see etree.go)
+//	nd      — nested dissection by recursive BFS bisection (see nd.go)
 //	auto    — tries amd, nd and rcm at symbolic-factorisation time and
 //	          keeps the candidate with the least predicted fill
 //
@@ -47,9 +45,6 @@ type OrderingChoice struct {
 	Name string
 	// Perm is the permutation, perm[new] = old; nil keeps natural order.
 	Perm []int
-	// Tree is the elimination-task forest enabling parallel numeric
-	// factorisation; nil when the ordering yields no such structure.
-	Tree *ETree
 }
 
 // Ordering computes fill-reducing permutations for sparsity patterns.
@@ -58,8 +53,7 @@ type OrderingChoice struct {
 type Ordering interface {
 	// Name returns the registry name.
 	Name() string
-	// Order computes the permutation (and optional elimination forest)
-	// for a's pattern.
+	// Order computes the permutation for a's pattern.
 	Order(a *Sparse) OrderingChoice
 }
 
@@ -86,8 +80,7 @@ type ndOrdering struct{}
 
 func (ndOrdering) Name() string { return OrderingND }
 func (ndOrdering) Order(a *Sparse) OrderingChoice {
-	perm, tree := NDOrder(a)
-	return OrderingChoice{Name: OrderingND, Perm: perm, Tree: tree}
+	return OrderingChoice{Name: OrderingND, Perm: NDOrder(a)}
 }
 
 type autoOrdering struct{}
@@ -405,10 +398,10 @@ func symmetrizePattern(n int, aPtr, aIdx []int) (ptr, idx []int) {
 // and U fill patterns (L strictly lower, U strictly upper, both with
 // ascending column indices per row; the diagonal is implicit). When no
 // exactly zero multiplier occurs in the numeric elimination, these
-// patterns equal the ones NewSparseLU stores, which is what lets a cold
-// factorisation split into symbolic analysis plus a parallel numeric
-// replay that stays bit-identical to the serial merge (see
-// NewSparseLUOrdered).
+// patterns equal the ones NewSparseLU stores, which is what lets
+// NewSparseLUOrdered split a cold factorisation into this analysis and
+// one pass of Refactor's numeric kernel, bit-identical to the merged
+// elimination.
 func symbolicLU(n int, ptr, idx []int) (lPtr, lIdx, uPtr, uIdx []int, err error) {
 	lPtr = make([]int, n+1)
 	uPtr = make([]int, n+1)

@@ -42,9 +42,6 @@ func TestOrderingPermsValidAndDeterministic(t *testing.T) {
 		if fmt.Sprint(ch.Perm) != fmt.Sprint(again.Perm) || ch.Name != again.Name {
 			t.Fatalf("%s: ordering is not deterministic", name)
 		}
-		if name == OrderingND && ch.Tree.Tasks() == 0 {
-			t.Fatalf("nd: no elimination tasks")
-		}
 	}
 }
 
@@ -200,7 +197,9 @@ func checkScatterMapRoundTrip(t *testing.T, a *Sparse, perm []int, name string) 
 	if err != nil {
 		t.Fatalf("%s: factor permuted: %v", name, err)
 	}
-	checkSameFactors(t, f, g, name+" vs natural-order factor of permuted matrix")
+	if err := sameFactorBits(f, g); err != nil {
+		t.Fatalf("%s vs natural-order factor of permuted matrix: %v", name, err)
+	}
 
 	n := a.N()
 	b := make([]float64, n)
@@ -238,29 +237,8 @@ func checkScatterMapRoundTrip(t *testing.T, a *Sparse, perm []int, name string) 
 	if err := rf.Refactor(a); err != nil {
 		t.Fatalf("%s: refactor: %v", name, err)
 	}
-	checkSameFactors(t, f, rf, name+" refactor replay")
-}
-
-func checkSameFactors(t *testing.T, f, g *SparseLU, what string) {
-	t.Helper()
-	if !sameIntSlice(f.lPtr, g.lPtr) || !sameIntSlice(f.lIdx, g.lIdx) ||
-		!sameIntSlice(f.uPtr, g.uPtr) || !sameIntSlice(f.uIdx, g.uIdx) {
-		t.Fatalf("%s: fill patterns differ", what)
-	}
-	for i, v := range f.lVal {
-		if v != g.lVal[i] {
-			t.Fatalf("%s: L value %d differs: %v vs %v", what, i, v, g.lVal[i])
-		}
-	}
-	for i, v := range f.uVal {
-		if v != g.uVal[i] {
-			t.Fatalf("%s: U value %d differs: %v vs %v", what, i, v, g.uVal[i])
-		}
-	}
-	for i, v := range f.uDiag {
-		if v != g.uDiag[i] {
-			t.Fatalf("%s: diagonal %d differs: %v vs %v", what, i, v, g.uDiag[i])
-		}
+	if err := sameFactorBits(f, rf); err != nil {
+		t.Fatalf("%s refactor replay: %v", name, err)
 	}
 }
 
@@ -320,8 +298,112 @@ func FuzzOrderingPerm(f *testing.F) {
 	})
 }
 
-// bigTestMatrix is large enough (n >= parallelMinN) that the parallel
-// factorisation paths actually run.
+// fuzzValued re-values fuzzPattern's matrix from vals, so the
+// elimination meets exact cancellations: stored entry p (in CSR order)
+// takes a small integer from vals[p], in −3…1 off the diagonal and in
+// −1…4 on it, and entries past len(vals) keep fuzzPattern's value. A
+// zero drops the entry, so the pattern can turn unsymmetric or lose a
+// diagonal; when vals[p] has its high bit set, the zero is stored
+// explicitly instead (Permute drops it, leaving the scatter map
+// incomplete).
+func fuzzValued(data, vals []byte) *Sparse {
+	a := fuzzPattern(data)
+	if a == nil {
+		return nil
+	}
+	b := NewBuilder(a.N())
+	for i := 0; i < a.N(); i++ {
+		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
+			j, v := a.colIdx[p], a.vals[p]
+			switch {
+			case p >= len(vals):
+			case j == i:
+				v = float64(int(vals[p])%6 - 1)
+			default:
+				v = float64(int(vals[p])%5 - 3)
+			}
+			if v == 0 && p < len(vals) && vals[p] >= 128 {
+				b.Add(i, j, 1) // Build sums the pair to a stored zero
+				v = -1
+			}
+			b.Add(i, j, v)
+		}
+	}
+	return b.Build()
+}
+
+// zeroMultiplierSeed decodes through fuzzValued to zeroMultiplierMatrix:
+// the pattern of a triangle, then values that drop (0,2), (1,0) and
+// (1,2) and set every other entry to 1.
+var zeroMultiplierSeed = [2][]byte{{2, 0, 1, 0, 2, 1, 2}, {2, 4, 3, 3, 2, 3, 4, 4, 2}}
+
+// FuzzSparseLUOrdered checks the one cold factor against the merged
+// elimination it must reproduce: under every concrete ordering,
+// NewSparseLUOrdered and NewSparseLU(a, ch.Perm) fail together or
+// agree bit for bit, CanRefactor included; and a refactorable factor
+// refreshed onto a second value set of the same structure (a's values
+// times −1, 1 or 2, chosen by scale) matches a cold NewSparseLU of those
+// values, or declines exactly where that cold factor fails or drops a
+// zero multiplier.
+func FuzzSparseLUOrdered(f *testing.F) {
+	f.Add(zeroMultiplierSeed[0], zeroMultiplierSeed[1], []byte{1})
+	f.Add([]byte{8, 0, 1, 1, 2, 2, 3, 4, 5, 0, 7}, []byte{}, []byte{2, 1, 0})
+	f.Add([]byte{31, 1, 2, 9, 30, 14, 3}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, []byte{1, 2})
+	f.Add([]byte{20, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0}, []byte{3, 0, 2, 1, 5, 4, 0, 3}, []byte{0})
+	// A stored zero (entry 13) that Permute drops: the split must
+	// decline the incomplete scatter map under rcm, amd and nd.
+	f.Add([]byte(".1BY0B0YA2A120AACY22B"), []byte("0001011011100\x80"), []byte("0"))
+	f.Fuzz(func(t *testing.T, data, vals, scale []byte) {
+		a := fuzzValued(data, vals)
+		if a == nil {
+			return
+		}
+		v2 := append([]float64(nil), a.vals...)
+		if len(scale) > 0 {
+			for p := range v2 {
+				v2[p] *= []float64{-1, 1, 2}[int(scale[p%len(scale)])%3]
+			}
+		}
+		a2 := &Sparse{n: a.n, rowPtr: a.rowPtr, colIdx: a.colIdx, vals: v2}
+		for _, name := range concreteOrderings {
+			ch := OrderMatrix(name, a)
+			got, gotErr := NewSparseLUOrdered(a, ch)
+			want, wantErr := NewSparseLU(a, ch.Perm)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("%s: NewSparseLUOrdered err %v, NewSparseLU err %v", name, gotErr, wantErr)
+			}
+			if gotErr != nil {
+				continue
+			}
+			if err := sameFactorBits(got, want); err != nil {
+				t.Fatalf("%s: ordered vs merged: %v", name, err)
+			}
+			if got.CanRefactor() != want.CanRefactor() {
+				t.Fatalf("%s: CanRefactor %v, merged %v", name, got.CanRefactor(), want.CanRefactor())
+			}
+			if !got.CanRefactor() {
+				continue
+			}
+			re, reErr := got.Refactored(a2)
+			cold, coldErr := NewSparseLU(a2, ch.Perm)
+			if reErr != nil {
+				if coldErr == nil && cold.CanRefactor() {
+					t.Fatalf("%s: Refactored declined (%v) a matrix the cold factor handles exactly", name, reErr)
+				}
+				continue
+			}
+			if coldErr != nil {
+				t.Fatalf("%s: Refactored succeeded, cold factor failed: %v", name, coldErr)
+			}
+			if err := sameFactorBits(re, cold); err != nil {
+				t.Fatalf("%s: Refactored vs cold: %v", name, err)
+			}
+		}
+	})
+}
+
+// bigTestMatrix is large enough (n = 1080, against ndLeafSize = 64)
+// that nested dissection recurses several levels before its AMD leaves.
 func bigTestMatrix() *Sparse {
 	return laplacian2D(36, 30, 0.25) // n = 1080
 }
@@ -338,56 +420,73 @@ func withGOMAXPROCS(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-func TestParallelColdFactorBitIdentical(t *testing.T) {
-	withGOMAXPROCS(t, 4)
+// TestColdFactorSplitMatchesMerged pins the cold factor of
+// NewSparseLUOrdered: under every concrete ordering the split
+// (symbolic pattern, then the refactor kernel) succeeds and is
+// bit-identical to the merged elimination of NewSparseLU.
+func TestColdFactorSplitMatchesMerged(t *testing.T) {
 	a := bigTestMatrix()
-	ch := OrderMatrix(OrderingND, a)
-	if ch.Tree.Tasks() < 3 {
-		t.Fatalf("nd produced a trivial forest (%d tasks) on n=%d", ch.Tree.Tasks(), a.N())
-	}
-	serial, err := NewSparseLU(a, ch.Perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewSparseLUOrdered(a, ch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.tree == nil {
-		t.Fatal("parallel factorisation did not adopt the elimination forest")
-	}
-	checkSameFactors(t, serial, par, "parallel cold factor")
-}
-
-func TestParallelRefactorBitIdenticalAcrossWorkers(t *testing.T) {
-	a := bigTestMatrix()
-	a2 := bigTestMatrixScaled(0.85)
-	ch := OrderMatrix(OrderingND, a)
-	ref, err := NewSparseLU(a, ch.Perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Refactor(a2); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3, 8} {
-		f, err := NewSparseLUOrdered(a, ch)
+	for _, name := range concreteOrderings {
+		ch := OrderMatrix(name, a)
+		merged, err := NewSparseLU(a, ch.Perm)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: merged: %v", name, err)
 		}
-		if err := ParallelRefactor(f, a2, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		split, err := newSparseLUSplit(a, ch.Perm)
+		if err != nil {
+			t.Fatalf("%s: split declined a matrix without a zero multiplier: %v", name, err)
 		}
-		checkSameFactors(t, ref, f, fmt.Sprintf("parallel refactor, %d workers", workers))
+		if err := sameFactorBits(split, merged); err != nil {
+			t.Fatalf("%s: split vs merged: %v", name, err)
+		}
 	}
 }
 
-// TestParallelRefactorSharedPrepCacheRace hammers ParallelRefactor from
-// many goroutines sharing one PrepCache (run under -race in CI): every
-// goroutine cycles through structurally identical matrices, preparing
-// through the cache and tree-parallel-refreshing clones, and asserts
-// the factors are bit-identical to the serial reference.
-func TestParallelRefactorSharedPrepCacheRace(t *testing.T) {
+// zeroMultiplierMatrix is the 3×3 matrix, in natural order, whose row 2
+// meets an exactly zero multiplier: eliminating column 0 cancels its
+// (2,1) entry to 0, so the merged elimination drops that L entry.
+func zeroMultiplierMatrix() *Sparse {
+	b := NewBuilder(3)
+	for _, e := range [][2]int{{0, 0}, {0, 1}, {1, 1}, {2, 0}, {2, 1}, {2, 2}} {
+		b.Add(e[0], e[1], 1)
+	}
+	return b.Build()
+}
+
+// TestColdFactorZeroMultiplierFallsBack: the split declines a matrix
+// with an exactly zero multiplier, and NewSparseLUOrdered then returns
+// the merged elimination, which cannot be refactored.
+func TestColdFactorZeroMultiplierFallsBack(t *testing.T) {
+	a := zeroMultiplierMatrix()
+	if !fuzzValued(zeroMultiplierSeed[0], zeroMultiplierSeed[1]).Equal(a) {
+		t.Fatal("zeroMultiplierSeed no longer decodes to zeroMultiplierMatrix")
+	}
+	if _, err := newSparseLUSplit(a, nil); err == nil {
+		t.Fatal("split accepted a matrix with an exactly zero multiplier")
+	}
+	merged, err := NewSparseLU(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewSparseLUOrdered(a, OrderMatrix(OrderingNatural, a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameFactorBits(f, merged); err != nil {
+		t.Fatalf("fallback vs merged: %v", err)
+	}
+	if f.CanRefactor() {
+		t.Fatal("a factor that dropped a zero multiplier reports CanRefactor")
+	}
+}
+
+// TestRefactorSharedPrepCacheRace hammers Refactored clones of one
+// factorisation and one shared PrepCache from many goroutines (run
+// under -race in CI), as the chunks of a sweep share one PrepCache:
+// every goroutine cycles through structurally identical matrices,
+// preparing through the cache and refreshing private clones, and
+// asserts the factors are bit-identical to a cold reference.
+func TestRefactorSharedPrepCacheRace(t *testing.T) {
 	withGOMAXPROCS(t, 4)
 	base := bigTestMatrix()
 	variants := []*Sparse{
@@ -429,13 +528,13 @@ func TestParallelRefactorSharedPrepCacheRace(t *testing.T) {
 				i := rng.Intn(len(variants))
 				v := variants[i]
 
-				// Path 1: tree-parallel refresh of a private clone.
+				// Path 1: numeric refresh of a private clone.
 				nf, err := seed.Refactored(v)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if err := compareFactors(nf, refs[i]); err != nil {
+				if err := sameFactorBits(nf, refs[i]); err != nil {
 					errs <- fmt.Errorf("goroutine %d iter %d (Refactored): %w", g, it, err)
 					return
 				}
@@ -452,7 +551,7 @@ func TestParallelRefactorSharedPrepCacheRace(t *testing.T) {
 					errs <- fmt.Errorf("unexpected factorization type %T", fact)
 					return
 				}
-				if err := compareFactors(df.f, refs[i]); err != nil {
+				if err := sameFactorBits(df.f, refs[i]); err != nil {
 					errs <- fmt.Errorf("goroutine %d iter %d (PrepCache): %w", g, it, err)
 					return
 				}
@@ -476,29 +575,6 @@ func TestParallelRefactorSharedPrepCacheRace(t *testing.T) {
 	if !ok || ag.Factorizations != len(variants) || ag.MeanFillRatio <= 1 {
 		t.Fatalf("per-ordering aggregate wrong: %+v", st.Orderings)
 	}
-}
-
-// compareFactors is checkSameFactors usable off the test goroutine.
-func compareFactors(f, g *SparseLU) error {
-	if !sameIntSlice(f.lPtr, g.lPtr) || !sameIntSlice(f.lIdx, g.lIdx) {
-		return fmt.Errorf("fill patterns differ")
-	}
-	for i, v := range f.lVal {
-		if v != g.lVal[i] {
-			return fmt.Errorf("L value %d differs: %v vs %v", i, v, g.lVal[i])
-		}
-	}
-	for i, v := range f.uVal {
-		if v != g.uVal[i] {
-			return fmt.Errorf("U value %d differs: %v vs %v", i, v, g.uVal[i])
-		}
-	}
-	for i, v := range f.uDiag {
-		if v != g.uDiag[i] {
-			return fmt.Errorf("diagonal %d differs: %v vs %v", i, v, g.uDiag[i])
-		}
-	}
-	return nil
 }
 
 func TestOrderingRegistryHelpers(t *testing.T) {

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -34,26 +35,42 @@ func gridSystem(n int, vary float64) *Sparse {
 	return b.Build()
 }
 
-func luBitEqual(t *testing.T, got, want *SparseLU) {
-	t.Helper()
-	if len(got.lVal) != len(want.lVal) || len(got.uVal) != len(want.uVal) {
-		t.Fatalf("factor sizes differ: L %d vs %d, U %d vs %d", len(got.lVal), len(want.lVal), len(got.uVal), len(want.uVal))
-	}
-	for p := range want.lVal {
-		if got.lIdx[p] != want.lIdx[p] || math.Float64bits(got.lVal[p]) != math.Float64bits(want.lVal[p]) {
-			t.Fatalf("L[%d]: got (%d,%v) want (%d,%v)", p, got.lIdx[p], got.lVal[p], want.lIdx[p], want.lVal[p])
+// sameFactorBits reports the first difference between two sparse LU
+// factors: in the L/U patterns (lPtr, lIdx, uPtr, uIdx) or in the bits
+// of any value, so −0 and +0 differ and equal NaNs match. It returns an
+// error rather than failing a test, so goroutines can call it.
+func sameFactorBits(got, want *SparseLU) error {
+	for _, p := range []struct {
+		name      string
+		got, want []int
+	}{
+		{"lPtr", got.lPtr, want.lPtr},
+		{"lIdx", got.lIdx, want.lIdx},
+		{"uPtr", got.uPtr, want.uPtr},
+		{"uIdx", got.uIdx, want.uIdx},
+	} {
+		if !sameIntSlice(p.got, p.want) {
+			return fmt.Errorf("%s pattern differs (lengths %d vs %d)", p.name, len(p.got), len(p.want))
 		}
 	}
-	for i := range want.uDiag {
-		if math.Float64bits(got.uDiag[i]) != math.Float64bits(want.uDiag[i]) {
-			t.Fatalf("uDiag[%d]: got %v want %v", i, got.uDiag[i], want.uDiag[i])
+	for _, v := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"lVal", got.lVal, want.lVal},
+		{"uDiag", got.uDiag, want.uDiag},
+		{"uVal", got.uVal, want.uVal},
+	} {
+		if len(v.got) != len(v.want) {
+			return fmt.Errorf("%s length %d vs %d", v.name, len(v.got), len(v.want))
+		}
+		for i := range v.want {
+			if math.Float64bits(v.got[i]) != math.Float64bits(v.want[i]) {
+				return fmt.Errorf("%s[%d]: %v vs %v", v.name, i, v.got[i], v.want[i])
+			}
 		}
 	}
-	for p := range want.uVal {
-		if got.uIdx[p] != want.uIdx[p] || math.Float64bits(got.uVal[p]) != math.Float64bits(want.uVal[p]) {
-			t.Fatalf("U[%d]: got (%d,%v) want (%d,%v)", p, got.uIdx[p], got.uVal[p], want.uIdx[p], want.uVal[p])
-		}
-	}
+	return nil
 }
 
 // TestSparseLURefactorBitIdentical pins the tentpole invariant: a
@@ -88,13 +105,17 @@ func TestSparseLURefactorBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		luBitEqual(t, shared, cold)
+		if err := sameFactorBits(shared, cold); err != nil {
+			t.Fatalf("perm=%v Refactored: %v", usePerm, err)
+		}
 
 		// Then the in-place form.
 		if err := f.Refactor(a2); err != nil {
 			t.Fatal(err)
 		}
-		luBitEqual(t, f, cold)
+		if err := sameFactorBits(f, cold); err != nil {
+			t.Fatalf("perm=%v Refactor: %v", usePerm, err)
+		}
 
 		n := a1.N()
 		b := make([]float64, n)
@@ -153,7 +174,9 @@ func TestSparseLURefactorRandomMatrices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		luBitEqual(t, got, cold)
+		if err := sameFactorBits(got, cold); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 	}
 }
 

@@ -852,9 +852,8 @@ func (s directSolver) Order(a *Sparse) OrderingChoice {
 
 // FactorOrdered implements OrderedFactorizer: the full sparse LU
 // factorisation under a precomputed ordering choice — the expensive
-// step a sweep group pays once per distinct matrix. With an
-// elimination-task forest (nd ordering) and spare cores, the numeric
-// elimination runs tree-parallel, bit-identically to serial.
+// step a sweep group pays once per distinct matrix. It is the split
+// cold factor of NewSparseLUOrdered, bit-identical to NewSparseLU.
 func (s directSolver) FactorOrdered(a *Sparse, ch OrderingChoice) (Factorization, error) {
 	f, err := NewSparseLUOrdered(a, ch)
 	if err != nil {
@@ -902,10 +901,9 @@ func (s directSolver) Prepare(a *Sparse) (Workspace, error) {
 }
 
 // RefactorFrom implements Refactorer: the fill-reducing ordering, the
-// symbolic fill pattern, the scatter maps and the elimination forest of
-// the prior factorisation are reused; only the numeric elimination is
-// replayed (tree-parallel when possible, bit-identically to a cold
-// factorisation either way — see SparseLU.Refactored). Any deviation —
+// symbolic fill pattern and the scatter maps of the prior factorisation
+// are reused; only the numeric elimination is replayed, bit-identically
+// to a cold factorisation (see SparseLU.Refactored). Any deviation —
 // structure change, an exactly zero pivot or multiplier — degrades to a
 // cold Factor.
 func (s directSolver) RefactorFrom(prior Factorization, a *Sparse) (Factorization, error) {

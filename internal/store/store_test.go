@@ -187,10 +187,13 @@ func TestStoreCheckpointTrimsWAL(t *testing.T) {
 	}
 }
 
-// TestStoreFlushAfterSyncedPutsRecovery: a checkpoint after acknowledged
-// Puts adds no WAL fsync — its rotation closes a segment whose records
-// the Puts' Syncs already made durable, and the checkpoint deletes it —
-// and a crash right after still recovers every key.
+// TestStoreFlushAfterSyncedPutsRecovery: sequential Puts across WAL
+// rollovers pay exactly one fsync each — a rollover fsyncs the segment
+// it closes and opens none, so the rolling Put's Sync has nothing left
+// to fsync. A checkpoint after them adds no WAL fsync — its rotation
+// closes a segment whose records the Puts' Syncs already made durable,
+// and the checkpoint deletes it — and a crash right after still
+// recovers every key.
 func TestStoreFlushAfterSyncedPutsRecovery(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(smallOpts(dir))
@@ -204,8 +207,8 @@ func TestStoreFlushAfterSyncedPutsRecovery(t *testing.T) {
 		}
 	}
 	wal := st.Stats().WAL
-	if wal.Rotations == 0 || wal.Fsyncs < n {
-		t.Fatalf("%d puts: %d WAL rollovers, %d fsyncs; want a rollover and a fsync per put", n, wal.Rotations, wal.Fsyncs)
+	if wal.Rotations == 0 || wal.Fsyncs != n {
+		t.Fatalf("%d puts: %d WAL rollovers, %d fsyncs; want a rollover and exactly one fsync per put", n, wal.Rotations, wal.Fsyncs)
 	}
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)

@@ -250,17 +250,6 @@ func (w *WAL) replaySegment(seq, checkpointLSN uint64, apply func(Record) error)
 	return lastLSN, n, nil
 }
 
-// rotateLocked closes the active segment (if any), fsyncing the
-// records it holds, and starts the next one. Callers hold w.mu.
-func (w *WAL) rotateLocked() error {
-	if w.f != nil {
-		if err := w.closeSegmentLocked(false); err != nil {
-			return err
-		}
-	}
-	return w.openSegmentLocked()
-}
-
 // closeSegmentLocked flushes and closes the active segment, leaving
 // none: the next Append starts a fresh one. It fsyncs the segment first
 // unless synced says the last Sync already made every record in it
@@ -337,9 +326,12 @@ func (w *WAL) Append(op byte, key string, value []byte) (uint64, error) {
 	w.stats.Appends++
 	w.stats.AppendedBytes += uint64(len(w.appendBuf))
 	if w.size >= w.maxSeg {
-		if err := w.rotateLocked(); err != nil {
-			// Rotation flushes and fsyncs the outgoing segment; a failure
-			// leaves its durability unknown.
+		// Roll over: fsync and close the full segment, and leave the next
+		// one to the next Append, as after Rotate. The rolling record is
+		// then durable, so its own Sync finds no segment and fsyncs none.
+		if err := w.closeSegmentLocked(false); err != nil {
+			// A failed flush or fsync leaves the segment's durability
+			// unknown.
 			return 0, w.fail(err)
 		}
 	}
@@ -388,7 +380,7 @@ func (w *WAL) Sync(lsn uint64) error {
 		return w.fail(err)
 	}
 	// A size rollover between the flush above and this fsync closes f —
-	// but rotateLocked fsyncs the outgoing segment first, so the records
+	// but the rollover fsyncs the outgoing segment first, so the records
 	// are already durable and a closed file here means success. (Rotate
 	// cannot interleave: it holds syncMu.)
 	if err := f.Sync(); err != nil && !errors.Is(err, os.ErrClosed) {

@@ -42,8 +42,10 @@ tolerance="${BENCH_GATE_TOLERANCE:-1.35}"
 # format: one benchmark per line, so the gate can re-parse it with awk
 # alone (no jq dependency). Repeated samples of one benchmark (-count N)
 # collapse to the fastest — the noise-robust statistic the gate compares.
+# The header records the machine's CPU count, since the parallel
+# benchmarks' times depend on it.
 emit_json() {
-    awk -v benchtime="$1" '
+    awk -v benchtime="$1" -v nproc="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN)" '
 BEGIN { n = 0 }
 /^goos:/   { goos = $2 }
 /^goarch:/ { goarch = $2 }
@@ -65,7 +67,7 @@ BEGIN { n = 0 }
     lines[n++] = line "}"
 }
 END {
-    printf("{\n  \"goos\":\"%s\",\"goarch\":\"%s\",\"cpu\":\"%s\",\"benchtime\":\"%s\",\n", goos, goarch, cpu, benchtime)
+    printf("{\n  \"goos\":\"%s\",\"goarch\":\"%s\",\"cpu\":\"%s\",\"nproc\":%s,\"benchtime\":\"%s\",\n", goos, goarch, cpu, nproc, benchtime)
     printf("  \"benchmarks\":[\n")
     for (i = 0; i < n; i++) printf("  %s%s\n", lines[i], i < n-1 ? "," : "")
     printf("  ]\n}\n")
@@ -74,7 +76,7 @@ END {
 
 if [ "$mode" = "snapshot" ]; then
     out="${1:-bench-snapshot.json}"
-    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|PoolStudySweep|CacheHit$|CacheHitFuzzy$|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|TransientSweepPool$|SolveBlock$|StorePut$|StoreGet$|StoreReopen$|CacheHitDisk$|FactorAMD|FactorND|SerialRefactor|ParallelRefactor|ResultsQuery$|DisabledPoint$|StudyPool$|ILUApply$}"
+    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|PoolStudySweep|CacheHit$|CacheHitFuzzy$|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|TransientSweepPool$|SolveBlock$|StorePut$|StoreGet$|StoreReopen$|CacheHitDisk$|FactorAMD|FactorND|SerialRefactor|ResultsQuery$|DisabledPoint$|StudyPool$|ILUApply$}"
     count="${BENCH_COUNT:-1}"
     tmp="$(mktemp)"
     trap 'rm -f "$tmp"' EXIT
