@@ -88,28 +88,6 @@ func BenchmarkFig7EnergyStudy(b *testing.B) { benchPolicyRun(b, core.Liquid, "LC
 
 // --- Scenario-execution subsystem (internal/jobs) ---
 
-// BenchmarkPoolStudySweep measures the full 7×4 policy-study matrix
-// executed sequentially versus fanned out across the worker pool — the
-// ns/op ratio of the two sub-benchmarks is the subsystem's study
-// speedup on this machine.
-func BenchmarkPoolStudySweep(b *testing.B) {
-	opt := exp.Options{Steps: 4, Grid: 8, Seed: 1}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := exp.RunStudySequential(opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := exp.RunStudy(opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkStudyPool measures the 28-scenario Fig. 6/7 study the way
 // POST /v1/studies computes it: steps 12, grid 8, the default solver
 // backend, on a GOMAXPROCS-wide pool and without a result cache.
@@ -239,17 +217,22 @@ func transientSweepBatch() []jobs.Scenario {
 // BenchmarkTransientSweepUnbatched — the ns/op ratio is the lockstep
 // batching speedup on this machine.
 func BenchmarkTransientSweepBatched(b *testing.B) {
-	benchTransientSweep(b, &sweep.Engine{Pool: jobs.NewPool(1), BatchWidth: 50}, true)
+	benchTransientSweep(b, jobs.NewPool(1), 50, true)
 }
 
-// benchTransientSweep runs the 50-scenario sweep through eng's lockstep
-// batch engine, checking every run computed without errors and blocked
-// its solves exactly when blocked says it should.
-func benchTransientSweep(b *testing.B, eng *sweep.Engine, blocked bool) {
+// benchTransientSweep runs the 50-scenario sweep through the lockstep
+// batch engine on pool at the given width, checking every run computed
+// without errors and blocked its solves exactly when blocked says it
+// should. Each iteration runs on a fresh engine: an engine hands every
+// sweep's factorizations and assemblies to the next one, so a reused
+// engine would time warm sweeps (BenchmarkTransientSweepWarm times
+// those).
+func benchTransientSweep(b *testing.B, pool *jobs.Pool, width int, blocked bool) {
 	b.Helper()
 	batch := transientSweepBatch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		eng := &sweep.Engine{Pool: pool, BatchWidth: width}
 		rep, err := eng.RunTransient(context.Background(), batch, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -265,7 +248,7 @@ func benchTransientSweep(b *testing.B, eng *sweep.Engine, blocked bool) {
 // factorization and assembly sharing, every scenario stepped solo), on
 // the same single worker.
 func BenchmarkTransientSweepUnbatched(b *testing.B) {
-	benchTransientSweep(b, &sweep.Engine{Pool: jobs.NewPool(1), BatchWidth: 1}, false)
+	benchTransientSweep(b, jobs.NewPool(1), 1, false)
 }
 
 // BenchmarkTransientSweepPool runs the same 50 scenarios the way
@@ -274,7 +257,35 @@ func BenchmarkTransientSweepUnbatched(b *testing.B) {
 // show how the group's chunks spread across workers; this one does (the
 // 50-scenario group runs as two chunks of 25).
 func BenchmarkTransientSweepPool(b *testing.B) {
-	benchTransientSweep(b, &sweep.Engine{Pool: jobs.NewPool(0)}, true)
+	benchTransientSweep(b, jobs.NewPool(0), 0, true)
+}
+
+// BenchmarkTransientSweepWarm times the path POST /v1/sweeps takes when
+// the service has swept before: the 50-scenario sweep with fresh trace
+// seeds each iteration, at the default width on a pool with one worker
+// per CPU, on one engine warmed by one sweep before the timer starts.
+// Each sweep adopts the previous one's factorizations and assemblies;
+// the seeds change, so every scenario still computes.
+func BenchmarkTransientSweepWarm(b *testing.B) {
+	eng := &sweep.Engine{Pool: jobs.NewPool(0)}
+	batch := transientSweepBatch()
+	run := func(seed0 int64) {
+		for k := range batch {
+			batch[k].Seed = seed0 + int64(k%25)
+		}
+		rep, err := eng.RunTransient(context.Background(), batch, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Errors != 0 || rep.CacheHits != 0 {
+			b.Fatalf("sweep: %d errors, %d cache hits", rep.Errors, rep.CacheHits)
+		}
+	}
+	run(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(int64(i+1)*100 + 1)
+	}
 }
 
 // --- The results query surface ---

@@ -1,9 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file is the multi-RHS seam of the solver layer: a BatchWorkspace
 // solves several right-hand sides against one shared direct
@@ -83,26 +80,6 @@ func grow(buf []float64, n int) []float64 {
 // Blocked vectors store column j of logical row i at X[i*w+j]: the
 // per-row column slice is contiguous, so a sparse-matrix entry loaded
 // once updates the whole block with unit-stride reads and writes.
-
-// mulVecLanes computes y = A·x on the given lanes of a blocked vector
-// pair: for every row i and lane l, y[i*w+l] accumulates the row's
-// products in storage order — the same order Sparse.MulVec uses, so
-// each lane is bit-identical to a solo mat-vec.
-func mulVecLanes(a *Sparse, y, x []float64, w int, lanes []int) {
-	for i := 0; i < a.n; i++ {
-		yi := y[i*w : i*w+w]
-		for _, l := range lanes {
-			yi[l] = 0
-		}
-		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-			v := a.vals[p]
-			xk := x[a.colIdx[p]*w : a.colIdx[p]*w+w]
-			for _, l := range lanes {
-				yi[l] += v * xk[l]
-			}
-		}
-	}
-}
 
 // xi returns row i of a blocked vector.
 func xi(xb []float64, i, w int) []float64 { return xb[i*w : i*w+w] }
@@ -209,16 +186,16 @@ func (f *SparseLU) SolveBlock(dst, b [][]float64, cols []int, xb []float64) {
 // --- direct backend --------------------------------------------------
 
 // BatchWorkspace solves lockstep multi-RHS systems against one shared
-// direct factorization: per-column warm-start checks, then one blocked
-// back-substitution over the LU factors for the columns that still need
-// solving. Like Workspace, a BatchWorkspace owns its scratch buffers
-// (grown on demand to the widest batch seen) and is not safe for
-// concurrent use; the shared factorization behind it is.
+// direct factorization: a per-column warm-start screen (warmStart),
+// then one blocked back-substitution over the LU factors for the
+// columns that still need solving. Like Workspace, a BatchWorkspace
+// owns its scratch buffer (grown on demand to the widest batch seen)
+// and is not safe for concurrent use; the shared factorization behind
+// it is.
 type BatchWorkspace struct {
-	f          *directFact
-	xb, rb     []float64 // blocked buffers (guesses/residuals, then sweep)
-	bnorm, acc []float64
-	cols, cand []int
+	f    *directFact
+	xb   []float64 // blocked sweep buffer
+	cols []int
 }
 
 // NewBatchWorkspace implements BatchFactorization.
@@ -230,16 +207,13 @@ func (f *directFact) NewBatchWorkspace() *BatchWorkspace {
 // from x0[j] (x0 may be nil, as may individual columns). res must have
 // len(dst) entries; res[j] reports column j's outcome. Column results
 // are bit-identical to Workspace.Solve on the same inputs, whatever the
-// batch composition. The warm-start residual screen — dead cheap per
-// solve, but a full matrix traversal per column when done solo — is
-// blocked across all warm-started columns: the matrix streams once, and
-// each column's residual accumulates in the exact row order of the solo
-// MulVec/Sub/Norm2 sequence.
+// batch composition: each warm-started column runs the solo path's
+// screen (warmStart), which stops at the first row checkpoint where its
+// partial residual already fails, and only the columns it does not
+// settle take the blocked triangular sweeps.
 func (w *BatchWorkspace) SolveBatch(dst, b, x0 [][]float64, res []ColumnResult) {
 	n := w.f.a.N()
-	width := len(dst)
 	w.cols = w.cols[:0]
-	w.cand = w.cand[:0]
 	for j := range dst {
 		res[j] = ColumnResult{}
 		x0j := column(x0, j)
@@ -247,49 +221,11 @@ func (w *BatchWorkspace) SolveBatch(dst, b, x0 [][]float64, res []ColumnResult) 
 			res[j].Err = err
 			continue
 		}
-		if x0j == nil {
-			w.cols = append(w.cols, j)
-			continue
-		}
-		bnorm := Norm2(b[j])
-		if bnorm == 0 {
-			Fill(dst[j], 0)
+		if x0j != nil && warmStart(w.f.a, w.f.tol, dst[j], b[j], x0j) {
 			res[j].EarlyExit = true
 			continue
 		}
-		w.bnorm = grow(w.bnorm, width)
-		w.bnorm[j] = bnorm
-		w.cand = append(w.cand, j)
-	}
-	if len(w.cand) > 0 {
-		w.xb = grow(w.xb, n*width)
-		w.rb = grow(w.rb, n*width)
-		w.acc = grow(w.acc, width)
-		for i := 0; i < n; i++ {
-			base := i * width
-			for _, j := range w.cand {
-				w.xb[base+j] = x0[j][i]
-			}
-		}
-		mulVecLanes(w.f.a, w.rb, w.xb, width, w.cand)
-		for _, j := range w.cand {
-			w.acc[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			base := i * width
-			for _, j := range w.cand {
-				d := b[j][i] - w.rb[base+j]
-				w.acc[j] += d * d
-			}
-		}
-		for _, j := range w.cand {
-			if math.Sqrt(w.acc[j])/w.bnorm[j] <= w.f.tol {
-				copy(dst[j], x0[j])
-				res[j].EarlyExit = true
-				continue
-			}
-			w.cols = append(w.cols, j)
-		}
+		w.cols = append(w.cols, j)
 	}
 	if len(w.cols) == 0 {
 		return

@@ -304,16 +304,24 @@ func (f *SparseLU) CanRefactor() bool { return f.safe }
 // bit-identical to NewSparseLU(a, perm) with the original ordering.
 //
 // Refactor returns an error — leaving the factors unusable — when the
-// structure differs, when CanRefactor is false, or when the elimination
-// meets an exactly zero pivot or multiplier (the caller then falls back
-// to a cold factorisation). On error the factorisation must be
-// discarded.
+// structure differs, when CanRefactor is false, when a stores an exact
+// zero, or when the elimination meets an exactly zero pivot or
+// multiplier (the caller then falls back to a cold factorisation). On
+// error the factorisation must be discarded. A stored zero is declined
+// because a cold factor under a permutation drops it from the pattern
+// (Permute builds through Builder.Add) while the replay over the
+// prior's pattern would keep it, and the two factors would differ.
 func (f *SparseLU) Refactor(a *Sparse) error {
 	if !f.safe {
 		return fmt.Errorf("mat: SparseLU.Refactor: factorisation not refactorable: %w", ErrSingular)
 	}
 	if a.n != f.n || !sameIntSlice(a.rowPtr, f.src.rowPtr) || !sameIntSlice(a.colIdx, f.src.colIdx) {
 		return fmt.Errorf("mat: SparseLU.Refactor: matrix structure differs from the factored one: %w", ErrSingular)
+	}
+	for p, v := range a.vals {
+		if v == 0 {
+			return fmt.Errorf("mat: SparseLU.Refactor: stored zero at entry %d: %w", p, ErrSingular)
+		}
 	}
 	if f.wbuf == nil {
 		f.wbuf = make([]float64, f.n)

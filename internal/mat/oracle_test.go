@@ -530,3 +530,107 @@ func FuzzILUSweep(f *testing.F) {
 		checkILUAgainstOracle(t, rng, "fuzz", a)
 	})
 }
+
+// oracleDirectScreen is the direct backend's warm-start screen as full
+// passes — MulVec, Sub, Norm2, then the comparison — which warmStart
+// replaced with one early-stopping pass. It reports whether the column
+// is settled without the triangular sweeps: a zero b, or a guess
+// meeting tol.
+func oracleDirectScreen(a *Sparse, b, x0 []float64, tol float64) bool {
+	bnorm := Norm2(b)
+	if bnorm == 0 {
+		return true
+	}
+	r := make([]float64, a.N())
+	a.MulVec(r, x0)
+	Sub(r, b, r)
+	return Norm2(r)/bnorm <= tol
+}
+
+// FuzzDirectScreen checks warmStart against the full screen: the same
+// decision on every input, dst holding x0 (or zeros for a zero b) when
+// the column is settled and untouched otherwise. SolveBatch and
+// directWS.Solve both call warmStart, so the batch equivalence tests
+// cannot catch a wrong early stop; this target can. The kinds cover
+// failing guesses, exact solutions that pass, a residual confined to
+// the last rows at tol, NaN and ±Inf entries, overflowing norms, tol
+// at the computed ratio or one ulp below it, and a zero b.
+func FuzzDirectScreen(f *testing.F) {
+	for kind := uint8(0); kind < 8; kind++ {
+		f.Add(int64(kind)+1, uint8(70+23*kind), kind, uint8(kind*37))
+		f.Add(int64(kind)+100, uint8(5*kind), kind, uint8(255-kind))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size, kind, pos uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(size)
+		a := randomPatternSystem(rng, n, 0.02+0.1*rng.Float64(), true)
+		x0 := randomVec(rng, n)
+		b := make([]float64, n)
+		a.MulVec(b, x0) // an exact solution unless the kind changes it
+		tol := 1e-9
+		last := n - 1 - int(pos)%min(n, 8) // a row near the end
+		special := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[int(pos)%3]
+		switch kind % 8 {
+		case 0: // a random guess: fails, normally at the first checkpoint
+			b = randomVec(rng, n)
+		case 1: // the exact solution passes with a zero residual
+		case 2: // a residual in the last rows only, just under or over tol
+			scale := 0.5
+			if pos&1 == 1 {
+				scale = 2
+			}
+			b[last] += scale * tol * Norm2(b)
+		case 3: // NaN or ±Inf in the guess, the rhs or the matrix
+			switch int(pos/3) % 3 {
+			case 0:
+				x0[last] = special
+			case 1:
+				b[last] = special
+			default:
+				vals := append([]float64(nil), a.vals...)
+				vals[a.rowPtr[last]] = special
+				a = &Sparse{n: a.n, rowPtr: a.rowPtr, colIdx: a.colIdx, vals: vals}
+			}
+		case 4: // squares that overflow: of the residual, or of b too
+			for i := range x0 {
+				x0[i] *= 1e160
+			}
+			if pos&1 == 0 {
+				for i := range b {
+					b[i] *= 1e160
+				}
+			}
+		case 5: // a huge rhs: ‖b‖ overflows to +Inf
+			for i := range b {
+				b[i] = 1e300 * rng.NormFloat64()
+			}
+		case 6: // tol exactly at the ratio (passes) or one ulp below (fails)
+			b[last] += 3e-7 * Norm2(b)
+			r := make([]float64, n)
+			a.MulVec(r, x0)
+			Sub(r, b, r)
+			tol = Norm2(r) / Norm2(b)
+			if pos&1 == 1 {
+				tol = math.Nextafter(tol, 0)
+			}
+		case 7: // a zero rhs is settled by the zero solution
+			Fill(b, 0)
+		}
+		want := oracleDirectScreen(a, b, x0, tol)
+		dst := randomVec(rng, n)
+		before := append([]float64(nil), dst...)
+		if got := warmStart(a, tol, dst, b, x0); got != want {
+			t.Fatalf("kind %d n %d: warmStart settled=%v, full screen %v", kind%8, n, got, want)
+		}
+		wantDst := before
+		switch {
+		case want && Norm2(b) == 0:
+			wantDst = make([]float64, n)
+		case want:
+			wantDst = x0
+		}
+		if i := firstBitDiff(dst, wantDst); i >= 0 {
+			t.Fatalf("kind %d n %d: dst[%d] = %v, want %v", kind%8, n, i, dst[i], wantDst[i])
+		}
+	})
+}

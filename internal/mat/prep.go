@@ -28,11 +28,21 @@ import (
 // bit-identical whether or not a cache was plugged in. The physical
 // work actually saved is reported by Stats.
 //
+// Consecutive sweeps of one group hand their preparations on (see
+// NewPrepCacheFrom): a cache built from the previous generation starts
+// empty and, on a miss, adopts that generation's completed, error-free
+// factorization of an equal matrix (the same checksum and Equal check
+// as a hit) or ordering of an equal pattern instead of preparing its
+// own. Adoptions count as Shares, never as
+// Factorizations, so Stats keeps counting the physical work this
+// generation paid.
+//
 // A PrepCache is safe for concurrent use; concurrent requests for the
 // same matrix single-flight the factorisation.
 type PrepCache struct {
 	mu      sync.Mutex
 	max     int
+	prev    *PrepCache // generation adopted from on a miss; nil once dropped
 	entries map[string][]*prepEntry
 	ords    map[string][]*ordEntry
 	ordAggs map[string]*ordAgg
@@ -139,10 +149,62 @@ func (s *PrepStats) Accumulate(o PrepStats) {
 // sweep group are its quantised flow levels, which arrive first), so a
 // runaway per-cavity policy cannot pin unbounded factor memory.
 func NewPrepCache(maxEntries int) *PrepCache {
+	return NewPrepCacheFrom(nil, maxEntries)
+}
+
+// NewPrepCacheFrom is NewPrepCache for the next generation of a group
+// whose previous generation was prev (nil: none): on a miss the new
+// cache adopts prev's completed, error-free entry for an equal matrix,
+// or prev's ordering for an equal pattern, before preparing one itself.
+// Adopted entries count toward maxEntries like prepared ones, and past
+// the bound an adoption is served uncached. Call DropPrevious when the
+// generation ends, so that handing caches on never chains generations.
+func NewPrepCacheFrom(prev *PrepCache, maxEntries int) *PrepCache {
 	return &PrepCache{
 		max:     maxEntries,
+		prev:    prev,
 		entries: map[string][]*prepEntry{},
 		ords:    map[string][]*ordEntry{},
+	}
+}
+
+// DropPrevious ends adoption from the previous generation and releases
+// it: after the call c holds only what its own generation prepared or
+// adopted.
+func (c *PrepCache) DropPrevious() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.prev = nil
+	c.mu.Unlock()
+}
+
+// adoptableLocked returns prev's completed, error-free entry for a
+// under key — found by the same checksum and equality check as a hit —
+// or nil. Caller holds c.mu; prev never locks c, so the order is safe.
+func (c *PrepCache) adoptableLocked(key string, a *Sparse, ck uint64) *prepEntry {
+	p := c.prev
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, cand := range p.entries[key] {
+		if (cand.a == a || (cand.ck == ck && cand.a.Equal(a))) && closed(cand.done) && cand.err == nil {
+			return cand
+		}
+	}
+	return nil
+}
+
+// closed reports whether ch is closed, without blocking.
+func closed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -277,6 +339,14 @@ func (c *PrepCache) orderingFor(ofz OrderedFactorizer, a *Sparse) OrderingChoice
 		}
 	}
 	if e == nil {
+		if pe := c.adoptableOrderLocked(name, a); pe != nil {
+			if c.max <= 0 || len(c.ords[name]) < c.max {
+				c.ords[name] = append(c.ords[name], pe)
+			}
+			c.stats.OrderingReuses++
+			c.mu.Unlock()
+			return pe.ch
+		}
 		if c.max > 0 && len(c.ords[name]) >= c.max {
 			c.mu.Unlock()
 			return ofz.Order(a)
@@ -294,6 +364,23 @@ func (c *PrepCache) orderingFor(ofz OrderedFactorizer, a *Sparse) OrderingChoice
 	c.stats.OrderingReuses++
 	c.mu.Unlock()
 	return e.ch
+}
+
+// adoptableOrderLocked returns prev's completed ordering choice for a's
+// pattern under the named ordering, or nil. Caller holds c.mu.
+func (c *PrepCache) adoptableOrderLocked(name string, a *Sparse) *ordEntry {
+	p := c.prev
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, cand := range p.ords[name] {
+		if (cand.a == a || cand.a.SameStructure(a)) && closed(cand.done) {
+			return cand
+		}
+	}
+	return nil
 }
 
 // recordOrderingLocked folds one physical preparation's ordering
@@ -354,6 +441,15 @@ func (c *PrepCache) prepare(s Solver, tag string, a *Sparse, prior Factorization
 			}
 		}
 		if e == nil {
+			if pe := c.adoptableLocked(key, a, ck); pe != nil {
+				if c.max <= 0 || c.n < c.max {
+					c.entries[key] = append(c.entries[key], pe)
+					c.n++
+				}
+				c.stats.Shares++
+				c.mu.Unlock()
+				return pe.fact, pe.fact.NewWorkspace(), true, nil
+			}
 			if c.max > 0 && c.n >= c.max {
 				// Full: prepare uncached rather than evict, so the stats
 				// of a within-bound sweep stay deterministic.

@@ -358,3 +358,41 @@ func TestPrepCacheChecksumStillVerifies(t *testing.T) {
 		t.Fatalf("stats: %+v", got)
 	}
 }
+
+// TestRefactoredStoredZeroMatchesCold zeroes each stored entry of an
+// AMD-ordered advective grid in turn, keeping the zero stored: a
+// refresh of the grid's factor must decline the zeroed matrix or be
+// bit-identical to its cold factor. The cold factor's Permute drops the
+// stored zero from the pattern, so a refresh that kept its slot would
+// hold a different factor; a refreshed factor handed from one sweep to
+// the next must equal the cold one.
+func TestRefactoredStoredZeroMatchesCold(t *testing.T) {
+	a := gridSystem(6, 0.3)
+	perm := OrderMatrix(OrderingAMD, a).Perm
+	prior, err := NewSparseLU(a, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !prior.CanRefactor() {
+		t.Fatal("grid factorisation should be refactorable")
+	}
+	declined := 0
+	for k := range a.vals {
+		vals := append([]float64(nil), a.vals...)
+		vals[k] = 0
+		z := &Sparse{n: a.n, rowPtr: a.rowPtr, colIdx: a.colIdx, vals: vals}
+		got, err := prior.Refactored(z)
+		if err != nil {
+			declined++
+			continue
+		}
+		cold, err := NewSparseLU(z, perm)
+		if err != nil {
+			t.Fatalf("entry %d: refreshed a matrix whose cold factor fails: %v", k, err)
+		}
+		if err := sameFactorBits(got, cold); err != nil {
+			t.Fatalf("entry %d: refreshed factor differs from the cold one: %v", k, err)
+		}
+	}
+	t.Logf("%d of %d zeroed matrices declined", declined, len(a.vals))
+}

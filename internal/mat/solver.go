@@ -879,7 +879,6 @@ func (f *directFact) NewWorkspace() Workspace {
 		a:    f.a,
 		f:    f.f,
 		tol:  f.tol,
-		r:    make([]float64, f.a.N()),
 		work: make([]float64, f.a.N()),
 		stats: SolveStats{
 			Backend:        BackendDirect,
@@ -921,7 +920,6 @@ type directWS struct {
 	a     *Sparse
 	f     *SparseLU
 	tol   float64
-	r     []float64
 	work  []float64
 	stats SolveStats
 }
@@ -930,8 +928,8 @@ type directWS struct {
 func (w *directWS) Stats() SolveStats { return w.stats }
 
 // Solve implements Workspace. A warm-start guess that already meets the
-// residual tolerance short-circuits the triangular sweeps, making the
-// unchanged-LHS steady path as cheap as a single mat-vec.
+// residual tolerance short-circuits the triangular sweeps (warmStart),
+// making the unchanged-LHS steady path as cheap as a single mat-vec.
 func (w *directWS) Solve(dst, b, x0 []float64) error {
 	n := w.a.N()
 	if len(dst) != n || len(b) != n {
@@ -941,21 +939,64 @@ func (w *directWS) Solve(dst, b, x0 []float64) error {
 		return fmt.Errorf("mat: direct guess length %d != n %d", len(x0), n)
 	}
 	w.stats.Solves++
-	if x0 != nil {
-		bnorm := Norm2(b)
-		if bnorm == 0 {
-			Fill(dst, 0)
-			w.stats.EarlyExits++
-			return nil
-		}
-		w.a.MulVec(w.r, x0)
-		Sub(w.r, b, w.r)
-		if Norm2(w.r)/bnorm <= w.tol {
-			copy(dst, x0)
-			w.stats.EarlyExits++
-			return nil
-		}
+	if x0 != nil && warmStart(w.a, w.tol, dst, b, x0) {
+		w.stats.EarlyExits++
+		return nil
 	}
 	w.f.SolveWith(dst, b, w.work)
 	return nil
+}
+
+// screenRows is the row stride of the warm-start screen's checkpoints.
+// While a transient still moves, almost every guess fails the screen,
+// and it fails within the first checkpoint, so a failing column costs
+// a few dozen rows of mat-vec instead of all of them.
+const screenRows = 32
+
+// warmStart is the direct backend's warm-start shortcut for one column,
+// shared by directWS.Solve and BatchWorkspace.SolveBatch: a zero b has
+// the zero solution, and a guess x0 whose relative residual
+// ‖b − A·x0‖₂/‖b‖₂ already meets tol is the answer. In both cases it
+// writes dst and returns true; otherwise dst is untouched and the
+// column needs the triangular sweeps.
+func warmStart(a *Sparse, tol float64, dst, b, x0 []float64) bool {
+	bnorm := Norm2(b)
+	if bnorm == 0 {
+		Fill(dst, 0)
+		return true
+	}
+	if !residualWithin(a, b, x0, bnorm, tol) {
+		return false
+	}
+	copy(dst, x0)
+	return true
+}
+
+// residualWithin decides ‖b − A·x0‖₂/bnorm <= tol with the
+// floating-point operations of the full screen — MulVec, Sub, Norm2 —
+// in their order: row i's product is summed in storage order (rowDot)
+// and subtracted from b[i], and the squares accumulate in ascending row
+// order. Every screenRows rows it tests the partial sum and returns
+// false once that fails the test.
+//
+// The early answer is always the full computation's. Each term d·d is
+// +0, positive, +Inf or NaN, so no rounded addition makes the
+// accumulator smaller, +Inf stays +Inf or turns NaN, and NaN stays NaN.
+// Square root and division by bnorm keep that order, so a ratio that is
+// above tol (or NaN) at a checkpoint is above tol (or NaN) at every
+// later row, and !(ratio <= tol) there is the final answer. A column
+// that passes every checkpoint takes the final test over all rows.
+func residualWithin(a *Sparse, b, x0 []float64, bnorm, tol float64) bool {
+	acc := 0.0
+	for lo := 0; lo < a.n; lo += screenRows {
+		hi := min(lo+screenRows, a.n)
+		for i := lo; i < hi; i++ {
+			d := b[i] - a.rowDot(i, x0)
+			acc += d * d
+		}
+		if !(math.Sqrt(acc)/bnorm <= tol) {
+			return false
+		}
+	}
+	return math.Sqrt(acc)/bnorm <= tol
 }

@@ -31,9 +31,12 @@
 // O(N). Transient grids and the Fig. 6/7 studies run through
 // sweep.Engine.RunTransient: each lockstep group also shares matrix
 // assemblies, and direct groups step through blocked multi-RHS solves,
-// with results byte-identical to per-scenario stepping. The per-sweep
-// sharing and batching outcome rides in every response and is folded
-// into /v1/stats.
+// with results byte-identical to per-scenario stepping. The server
+// holds one engine for /v1/sweeps, so each transient sweep adopts the
+// factorizations and assemblies its predecessor left (one generation);
+// studies build their own engine per request. The per-sweep sharing
+// and batching outcome rides in every response and is folded into
+// /v1/stats.
 package server
 
 import (

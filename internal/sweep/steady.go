@@ -136,7 +136,7 @@ func (e *Engine) RunSteady(ctx context.Context, s SteadySweep, onPoint func(Stea
 	if err != nil {
 		return nil, err
 	}
-	prep := e.newPrepCache()
+	prep := e.newPrepCache(nil)
 	nf := len(s.FlowsMlPerMin)
 	n := len(s.Utils) * nf
 	var emitMu sync.Mutex

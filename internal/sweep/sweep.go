@@ -6,9 +6,13 @@
 // side, and the same trace length means the same step schedule — and
 // each group runs through a jobs.Pool with one shared mat.PrepCache and
 // one shared thermal.AssemblyCache, so an N-point sweep pays for
-// O(distinct matrices) factorizations instead of O(N). A direct group
-// also steps its chunks in lockstep through blocked multi-RHS solves;
-// every other backend steps solo (see Engine.RunTransient).
+// O(distinct matrices) factorizations instead of O(N). Consecutive
+// sweeps on one Engine share too: each group's caches adopt what the
+// same key's group of the engine's last finished sweep prepared, so a
+// sweep that revisits those matrices pays for none of them; the engine
+// keeps that one generation only. A direct group also steps its chunks
+// in lockstep through blocked multi-RHS solves; every other backend
+// steps solo (see Engine.RunTransient).
 //
 // The paper's headline results are exactly such sweeps (flow rates ×
 // workloads × stack configurations under the fuzzy controller), and the
@@ -20,8 +24,8 @@
 // deterministic, a shared factorization is bit-identical to a private
 // one, and workspace solver counters are logical (see mat.PrepCache) —
 // so the engine returns byte-identical results whether it runs on one
-// worker or sixteen, at any batch width, with or without sharing. Tests
-// pin this.
+// worker or sixteen, at any batch width, with or without sharing, and
+// whatever sweeps it ran before. Tests pin this.
 package sweep
 
 import (
@@ -39,7 +43,9 @@ import (
 // DefaultPrepEntries bounds each group's factor cache: past the bound
 // new matrices are solved with private preparations instead of growing
 // the cache (a per-cavity policy can visit levels^cavities distinct flow
-// vectors; the sweep must not pin that many factorizations).
+// vectors; the sweep must not pin that many factorizations). Entries
+// adopted from the previous sweep count toward it, so it also bounds
+// what one group hands to the next sweep.
 const DefaultPrepEntries = 256
 
 // Engine executes scenario batches. The zero value works: a nil Pool
@@ -67,12 +73,19 @@ type Engine struct {
 	// first failure instead of completing the survivors.
 	FailFast bool
 
-	// Per-ordering factor wall-time aggregated across every sweep this
-	// engine has run. Wall time is inherently nondeterministic, so it
-	// lives here — outside the byte-identical reports — and is surfaced
-	// through OrderingFactorNs (the /v1/stats solver block).
-	timingMu sync.Mutex
+	// mu guards what the engine carries from sweep to sweep.
+	mu sync.Mutex
+	// factorNs is the per-ordering factor wall-time aggregated across
+	// every sweep this engine has run. Wall time is inherently
+	// nondeterministic, so it lives here — outside the byte-identical
+	// reports — and is surfaced through OrderingFactorNs (the /v1/stats
+	// solver block).
 	factorNs map[string]int64
+	// last holds the group caches of the last transient sweep the
+	// engine finished, by lockstep key: the next sweep's group caches
+	// adopt from them (see RunTransient). Only that one generation is
+	// kept.
+	last map[string]groupCaches
 }
 
 // StructuralKey names the scenario properties that fix the thermal
@@ -243,16 +256,17 @@ func newPlan(scenarios []jobs.Scenario) (*plan, error) {
 	return p, nil
 }
 
-// newPrepCache applies the engine's capacity convention: 0 selects
-// DefaultPrepEntries, negative is unbounded.
-func (e *Engine) newPrepCache() *mat.PrepCache {
+// newPrepCache applies the engine's capacity convention (0 selects
+// DefaultPrepEntries, negative is unbounded) to a cache that adopts
+// from prev, the previous generation of its group (nil: none).
+func (e *Engine) newPrepCache(prev *mat.PrepCache) *mat.PrepCache {
 	max := e.PrepEntries
 	if max == 0 {
 		max = DefaultPrepEntries
 	} else if max < 0 {
 		max = 0
 	}
-	return mat.NewPrepCache(max)
+	return mat.NewPrepCacheFrom(prev, max)
 }
 
 // recordFactorNs folds one retiring group cache's per-ordering factor
@@ -262,22 +276,22 @@ func (e *Engine) recordFactorNs(c *mat.PrepCache) {
 	if len(ns) == 0 {
 		return
 	}
-	e.timingMu.Lock()
+	e.mu.Lock()
 	if e.factorNs == nil {
 		e.factorNs = map[string]int64{}
 	}
 	for name, v := range ns {
 		e.factorNs[name] += v
 	}
-	e.timingMu.Unlock()
+	e.mu.Unlock()
 }
 
 // OrderingFactorNs reports the total wall-clock nanoseconds spent in
 // physical factorisations per concrete fill-reducing ordering, summed
 // over every sweep the engine has completed.
 func (e *Engine) OrderingFactorNs() map[string]int64 {
-	e.timingMu.Lock()
-	defer e.timingMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if len(e.factorNs) == 0 {
 		return nil
 	}

@@ -28,13 +28,18 @@ func TransientKey(s jobs.Scenario) string {
 	return fmt.Sprintf("%s|steps=%d", StructuralKey(s), s.Steps)
 }
 
+// groupCaches are the sharing caches of one lockstep group.
+type groupCaches struct {
+	prep *mat.PrepCache
+	asm  *thermal.AssemblyCache
+}
+
 // tgroup is one lockstep group during a transient run: the sharing
 // caches every chunk of the group plugs into, plus the accumulated
 // batching counters.
 type tgroup struct {
-	key       string
-	prep      *mat.PrepCache
-	asm       *thermal.AssemblyCache
+	key string
+	groupCaches
 	scenarios int
 
 	mu    sync.Mutex
@@ -67,16 +72,23 @@ func (e *Engine) chunkWidth(solver string) int {
 // its scenarios in lockstep (sim.RunBatch) — each chunk's thermal
 // sub-steps solve all right-hand sides that share a direct
 // factorization in one blocked pass, and the whole group shares one
-// factor cache and one assembly cache.
+// factor cache and one assembly cache. Those caches start empty and,
+// on a miss, adopt the preparations of the same key's group in the last
+// transient sweep this engine finished (mat.NewPrepCacheFrom,
+// thermal.NewAssemblyCacheFrom); when the sweep ends its caches replace
+// that generation, so the engine keeps one finished sweep's
+// preparations at most. The report's prep and assembly counters count
+// the physical work this sweep paid, an adoption counting as a share.
 // Results are filled through the result cache (batch-aware single-flight
 // fills, so concurrent requests for a scenario join the batch's
 // computation). Per-scenario metrics are byte-identical to a solo
-// jobs.Scenario.Run for every batch width and worker count, and the
-// report is byte-identical across worker counts. onResult, when
-// non-nil, observes every Result as it completes (any order, one call
-// at a time) — the streaming hook behind POST /v1/sweeps. RunTransient
-// fails fast only on validation errors, context cancellation, or — with
-// FailFast — the first scenario error.
+// jobs.Scenario.Run for every batch width, worker count and engine
+// history, and for a given engine history the report is byte-identical
+// across worker counts. onResult, when non-nil, observes every Result
+// as it completes (any order, one call at a time) — the streaming hook
+// behind POST /v1/sweeps. RunTransient fails fast only on validation
+// errors, context cancellation, or — with FailFast — the first scenario
+// error.
 func (e *Engine) RunTransient(ctx context.Context, scenarios []jobs.Scenario, onResult func(Result)) (*Report, error) {
 	p, err := newPlan(scenarios)
 	if err != nil {
@@ -85,7 +97,12 @@ func (e *Engine) RunTransient(ctx context.Context, scenarios []jobs.Scenario, on
 	n := len(p.norm)
 
 	// Group the distinct scenarios by lockstep compatibility; each group
-	// owns the sharing caches, each chunk is one pool task.
+	// owns the sharing caches, each chunk is one pool task. A group's
+	// caches adopt from the same key's group of the last sweep the
+	// engine finished.
+	e.mu.Lock()
+	last := e.last
+	e.mu.Unlock()
 	groups := map[string]*tgroup{}
 	var groupOrder []*tgroup
 	groupOf := make([]*tgroup, n)
@@ -94,7 +111,9 @@ func (e *Engine) RunTransient(ctx context.Context, scenarios []jobs.Scenario, on
 		gk := TransientKey(p.norm[i])
 		g := groups[gk]
 		if g == nil {
-			g = &tgroup{key: gk, prep: e.newPrepCache(), asm: thermal.NewAssemblyCache(e.asmEntries())}
+			prev := last[gk]
+			g = &tgroup{key: gk, groupCaches: groupCaches{prep: e.newPrepCache(prev.prep),
+				asm: thermal.NewAssemblyCacheFrom(prev.asm, e.asmEntries())}}
 			groups[gk] = g
 			groupOrder = append(groupOrder, g)
 		}
@@ -138,6 +157,19 @@ func (e *Engine) RunTransient(ctx context.Context, scenarios []jobs.Scenario, on
 		e.runChunk(ctx, chunkGroup[ci], chunks[ci], p, emit, cancel)
 		return nil
 	})
+	// Every chunk has returned: hand this sweep's caches to the next
+	// one, replacing the previous generation. A cancelled or failed
+	// sweep hands them on too; adoption takes only completed, error-free
+	// entries.
+	next := make(map[string]groupCaches, len(groupOrder))
+	for _, g := range groupOrder {
+		g.prep.DropPrevious()
+		g.asm.DropPrevious()
+		next[g.key] = g.groupCaches
+	}
+	e.mu.Lock()
+	e.last = next
+	e.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

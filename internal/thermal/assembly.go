@@ -24,11 +24,20 @@ import (
 // matrices are shared read-only; models never mutate them (reassembly
 // always produces fresh storage).
 //
+// Consecutive sweeps of one group hand their assemblies on (see
+// NewAssemblyCacheFrom): on a miss, a cache adopts the previous
+// generation's completed product for the same (flows, dt) key. The
+// contract above then spans the generations: the sweep engine chains
+// only the caches of one lockstep key, which fixes the configuration.
+// Adoptions count as Shares, so Stats keeps counting the assemblies
+// this generation built.
+//
 // An AssemblyCache is safe for concurrent use; concurrent requests for
 // the same key single-flight the build.
 type AssemblyCache struct {
 	mu      sync.Mutex
 	max     int
+	prev    *AssemblyCache // generation adopted from on a miss; nil once dropped
 	entries map[string]*asmEntry
 	stats   AsmStats
 }
@@ -66,7 +75,48 @@ func (s *AsmStats) Accumulate(o AsmStats) {
 // uncached (no eviction — a sweep group's hot entries are its quantised
 // flow levels, which arrive first).
 func NewAssemblyCache(maxEntries int) *AssemblyCache {
-	return &AssemblyCache{max: maxEntries, entries: map[string]*asmEntry{}}
+	return NewAssemblyCacheFrom(nil, maxEntries)
+}
+
+// NewAssemblyCacheFrom is NewAssemblyCache for the next generation of a
+// group whose previous generation was prev (nil: none): on a miss the
+// new cache adopts prev's completed product for the key before building
+// one. Adopted products count toward maxEntries like built ones, and
+// past the bound an adoption is served uncached. Call DropPrevious when
+// the generation ends, so that handing caches on never chains
+// generations.
+func NewAssemblyCacheFrom(prev *AssemblyCache, maxEntries int) *AssemblyCache {
+	return &AssemblyCache{max: maxEntries, prev: prev, entries: map[string]*asmEntry{}}
+}
+
+// DropPrevious ends adoption from the previous generation and releases
+// it.
+func (c *AssemblyCache) DropPrevious() {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.prev = nil
+	c.mu.Unlock()
+}
+
+// adoptableLocked returns prev's completed product for key, or nil.
+// Caller holds c.mu; prev never locks c, so the order is safe.
+func (c *AssemblyCache) adoptableLocked(key string) *asmEntry {
+	p := c.prev
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e, ok := p.entries[key]; ok {
+		select {
+		case <-e.done:
+			return e
+		default:
+		}
+	}
+	return nil
 }
 
 // Len reports the number of cached products.
@@ -97,6 +147,14 @@ func (c *AssemblyCache) get(key string, build func() (*mat.Sparse, []float64, []
 		c.mu.Unlock()
 		<-e.done
 		c.mu.Lock()
+		c.stats.Shares++
+		c.mu.Unlock()
+		return e.g, e.rhs, e.cap
+	}
+	if e := c.adoptableLocked(key); e != nil {
+		if c.max <= 0 || len(c.entries) < c.max {
+			c.entries[key] = e
+		}
 		c.stats.Shares++
 		c.mu.Unlock()
 		return e.g, e.rhs, e.cap

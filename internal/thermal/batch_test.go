@@ -298,3 +298,62 @@ func TestAssemblyCacheBounds(t *testing.T) {
 		t.Fatalf("len %d", asm.Len())
 	}
 }
+
+// TestAssemblyCacheHandoff pins the generation handoff: a cache built
+// from the previous generation adopts that generation's completed
+// product for a key instead of building it (a share, not an assembly),
+// holds it for its own callers, and builds keys the previous
+// generation never held. A product still being built there is not
+// waited for, and a generation adopts only from the one before it.
+func TestAssemblyCacheHandoff(t *testing.T) {
+	calls := 0
+	build := func() (*mat.Sparse, []float64, []float64) {
+		calls++
+		b := mat.NewBuilder(2)
+		b.Add(0, 0, float64(calls))
+		b.Add(1, 1, 1)
+		return b.Build(), nil, nil
+	}
+	gen1 := NewAssemblyCache(0)
+	g1, _, _ := gen1.assembly("k1", build)
+	gen1.DropPrevious()
+
+	gen2 := NewAssemblyCacheFrom(gen1, 0)
+	for i := 0; i < 2; i++ {
+		if g, _, _ := gen2.assembly("k1", build); g != g1 {
+			t.Fatalf("lookup %d: the previous generation's product was not adopted", i)
+		}
+	}
+	gen2.assembly("k2", build)
+	if st := gen2.Stats(); st.Assemblies != 1 || st.Shares != 2 || gen2.Len() != 2 || calls != 2 {
+		t.Fatalf("generation 2: %+v len %d builds %d, want 1 assembly, 2 shares, len 2, 2 builds",
+			st, gen2.Len(), calls)
+	}
+	gen2.DropPrevious()
+
+	// Generation 3 adopts k2 and holds an unfinished k3; generation 4
+	// adopts k2 again, builds k3 without waiting, and builds k1, which
+	// generation 3 never used.
+	gen3 := NewAssemblyCacheFrom(gen2, 0)
+	gen3.assembly("k2", build)
+	gen3.entries["k3"] = &asmEntry{done: make(chan struct{})}
+	gen3.DropPrevious()
+	gen4 := NewAssemblyCacheFrom(gen3, 0)
+	gen4.assembly("k2", build)
+	if g, _, _ := gen4.assembly("k3", build); g == nil {
+		t.Fatal("an unfinished product of the previous generation was served")
+	}
+	if g, _, _ := gen4.assembly("k1", build); g == g1 {
+		t.Fatal("a generation adopted from two generations back")
+	}
+	if st := gen4.Stats(); st.Assemblies != 2 || st.Shares != 1 {
+		t.Fatalf("generation 4: %+v, want k3 and k1 built, k2 adopted", st)
+	}
+
+	// A full generation serves an adoption uncached.
+	full := NewAssemblyCacheFrom(gen2, 1)
+	full.assembly("k9", build)
+	if g, _, _ := full.assembly("k1", build); g != g1 || full.Len() != 1 || full.Stats().Shares != 1 {
+		t.Fatalf("full generation: adopted %v, len %d, stats %+v", g == g1, full.Len(), full.Stats())
+	}
+}

@@ -76,7 +76,7 @@ END {
 
 if [ "$mode" = "snapshot" ]; then
     out="${1:-bench-snapshot.json}"
-    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|PoolStudySweep|CacheHit$|CacheHitFuzzy$|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|TransientSweepPool$|SolveBlock$|StorePut$|StoreGet$|StoreReopen$|CacheHitDisk$|FactorAMD|FactorND|SerialRefactor|ResultsQuery$|DisabledPoint$|StudyPool$|ILUApply$}"
+    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|CacheHit$|CacheHitFuzzy$|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|TransientSweepPool$|TransientSweepWarm$|SolveBlock$|StorePut$|StoreGet$|StoreReopen$|CacheHitDisk$|FactorAMD|FactorND|SerialRefactor|ResultsQuery$|DisabledPoint$|StudyPool$|ILUApply$}"
     count="${BENCH_COUNT:-1}"
     tmp="$(mktemp)"
     trap 'rm -f "$tmp"' EXIT
@@ -112,7 +112,7 @@ fi
 echo "bench-gate: checking against $base (tolerance ${tolerance}x, benchtime $benchtime)"
 
 # The -bench pattern matches the top-level benchmark names (sub-benchmark
-# names like PoolStudySweep/sequential select their parent); comparison
+# names like SolveBlock/solo50 select their parent); comparison
 # below still happens per full pinned name.
 names="$(awk -F'"' '/"name":/ {split($4, a, "/"); print a[1]}' "$base" | sort -u)"
 if [ -z "$names" ]; then
