@@ -6,9 +6,14 @@
 package repro
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"repro/internal/cfdref"
@@ -19,6 +24,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/power"
 	"repro/internal/query"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -321,6 +327,42 @@ func BenchmarkResultsQuery(b *testing.B) {
 		}
 		if err := formatter.Format(io.Discard, q.Fields, rows); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkResultsQueryRepeat times the path a repeated query takes:
+// serve-mix's query through Server.Handler() (httptest, no network)
+// over one registered 256-row sweep, liquid LC_FUZZY on grid 8 for 10
+// steps. After the first request every answer comes from the answer
+// cache: parse, validate, one lookup, write.
+func BenchmarkResultsQueryRepeat(b *testing.B) {
+	srv := server.New(server.Options{})
+	defer srv.Close()
+	h := srv.Handler()
+	seeds := make([]int64, 256)
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	body, err := json.Marshal(map[string]any{"grid": map[string]any{
+		"coolings": []string{"liquid"}, "policies": []string{"LC_FUZZY"},
+		"seeds": seeds, "steps": 10, "grid": 8,
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		b.Fatalf("sweep: %d %s", rec.Code, rec.Body)
+	}
+	target := "/v1/results/query?q=" + url.QueryEscape("max_temp>60 sort:-pump_power limit:10 fields:index,policy,seed,max_temp,pump_power")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("query: %d %s", rec.Code, rec.Body)
 		}
 	}
 }

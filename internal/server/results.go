@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -27,6 +28,16 @@ import (
 // recomputing anything. Each in-memory sweep is kept as a query.Table,
 // so the columns a query reads are decoded once per sweep, not once per
 // query.
+//
+// A repeated query does not run at all: the registry keeps the
+// formatted bytes of recent answers, keyed by the canonical expression
+// (query.Query.String), the format and the sweep id. Every Register
+// bumps the registry's generation and drops every kept answer, and an
+// answer is kept only if no Register ran between reading its tables and
+// finishing it, so a kept answer is always the one a fresh evaluation
+// would give. Only answers computed wholly from ring tables are kept:
+// an answer that failed, or that read a durable-only sweep (whose rows
+// a later write-through can fill in), is evaluated afresh every time.
 
 // Store keys of the durable tier. Manifests live beside (not inside)
 // the scenario-metrics namespace, so the cache's scenario keys and the
@@ -36,8 +47,14 @@ const (
 	sweepIndexKey   = "sweepindex/v1"
 )
 
-// defaultMemSweeps bounds the in-memory ring.
-const defaultMemSweeps = 32
+// defaultMemSweeps bounds the in-memory ring; maxAnswers and
+// maxAnswerBytes bound the answer cache's count and bytes (a larger
+// answer is never kept).
+const (
+	defaultMemSweeps = 32
+	maxAnswers       = 64
+	maxAnswerBytes   = 1 << 20
+)
 
 // sweepManifest is the durable identity record of one sweep: every
 // row's scenario, content key and grouping, without metrics (those are
@@ -56,18 +73,45 @@ type manifestRow struct {
 	Scenario jobs.Scenario `json:"scenario"`
 }
 
-// resultsRegistry is the two-tier sweep registry.
+// resultsRegistry is the two-tier sweep registry and its answer cache.
 type resultsRegistry struct {
 	store  *store.Store
 	maxMem int
 
 	mu    sync.Mutex
+	gen   uint64   // bumped by every Register
 	order []string // in-memory ids, oldest first
 	mem   map[string]*query.Table
+
+	answers      map[answerKey]*answer // all computed at generation gen
+	answerOrder  []answerKey           // kept answers, oldest first
+	answerBytes  int
+	hits, misses int
+}
+
+// answerKey names one answer: everything but the registry's contents
+// that its bytes depend on.
+type answerKey struct {
+	query  string // canonical expression
+	format string // formatter name ("" resolved to "table")
+	sweep  string
+}
+
+// answer is one formatted 200 response of /v1/results/query.
+type answer struct {
+	contentType string
+	body        []byte
+}
+
+func (a *answer) write(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", a.contentType)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(a.body)
 }
 
 func newResultsRegistry(st *store.Store) *resultsRegistry {
-	return &resultsRegistry{store: st, maxMem: defaultMemSweeps, mem: map[string]*query.Table{}}
+	return &resultsRegistry{store: st, maxMem: defaultMemSweeps,
+		mem: map[string]*query.Table{}, answers: map[answerKey]*answer{}}
 }
 
 // SweepID content-addresses a sweep: the hash of its ordered scenario
@@ -83,8 +127,9 @@ func SweepID(results []sweep.Result) string {
 }
 
 // Register records one completed transient sweep in both tiers and
-// returns its id. Store errors are returned after the in-memory tier
-// is updated: the sweep is queryable either way, just not durable.
+// returns its id. It starts a new generation: every kept answer is
+// dropped. Store errors are returned after the in-memory tier is
+// updated: the sweep is queryable either way, just not durable.
 func (g *resultsRegistry) Register(rep *sweep.Report) (string, error) {
 	id := SweepID(rep.Results)
 	records := make([]query.Record, 0, len(rep.Results))
@@ -101,6 +146,10 @@ func (g *resultsRegistry) Register(rep *sweep.Report) (string, error) {
 		}
 	}
 	g.mem[id] = query.NewTable(records)
+	g.gen++
+	clear(g.answers)
+	g.answerOrder = g.answerOrder[:0]
+	g.answerBytes = 0
 	var err error
 	if g.store != nil {
 		err = g.persistLocked(id, rep)
@@ -238,22 +287,25 @@ func (g *resultsRegistry) List() ([]SweepInfo, error) {
 // tiers otherwise, in query order: the ring oldest first, then the
 // durable-only sweeps in index order (memory wins for sweeps present
 // in both). Durable-only sweeps are rebuilt for each query, so their
-// tables are uncached: the query reads their records directly.
-func (g *resultsRegistry) Tables(id string) ([]*query.Table, error) {
+// tables are uncached: the query reads their records directly. It also
+// returns the generation the tables belong to, and whether all of them
+// are ring tables, which is when an answer computed from them may be
+// kept (keepAnswer).
+func (g *resultsRegistry) Tables(id string) (tables []*query.Table, gen uint64, ring bool, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if id != "" {
 		if t, ok := g.mem[id]; ok {
-			return []*query.Table{t}, nil
+			return []*query.Table{t}, g.gen, true, nil
 		}
 		if g.store == nil {
-			return nil, fmt.Errorf("results: unknown sweep %q", id)
+			return nil, 0, false, fmt.Errorf("results: unknown sweep %q", id)
 		}
 		recs, err := g.loadDurable(id)
 		if err != nil {
-			return nil, err
+			return nil, 0, false, err
 		}
-		return []*query.Table{query.Uncached(recs)}, nil
+		return []*query.Table{query.Uncached(recs)}, g.gen, false, nil
 	}
 	out := make([]*query.Table, 0, len(g.order))
 	for _, memID := range g.order {
@@ -261,19 +313,75 @@ func (g *resultsRegistry) Tables(id string) ([]*query.Table, error) {
 	}
 	ids, err := g.durableIDs()
 	if err != nil {
-		return out, err
+		return out, 0, false, err
 	}
+	ring = true
 	for _, durID := range ids {
 		if _, inMem := g.mem[durID]; inMem {
 			continue
 		}
 		recs, err := g.loadDurable(durID)
 		if err != nil {
-			return out, err
+			return out, 0, false, err
 		}
 		out = append(out, query.Uncached(recs))
+		ring = false
 	}
-	return out, nil
+	return out, g.gen, ring, nil
+}
+
+// cachedAnswer returns the answer kept under key, counting a hit or a
+// miss. Every kept answer belongs to the current generation.
+func (g *resultsRegistry) cachedAnswer(key answerKey) (*answer, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	a, ok := g.answers[key]
+	if ok {
+		g.hits++
+	} else {
+		g.misses++
+	}
+	return a, ok
+}
+
+// keepAnswer keeps a, computed from tables of generation gen, under
+// key, unless a Register has run since (gen is stale) or a is larger
+// than maxAnswerBytes. The oldest kept answers make room.
+func (g *resultsRegistry) keepAnswer(key answerKey, gen uint64, a *answer) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if gen != g.gen || len(a.body) > maxAnswerBytes {
+		return
+	}
+	if _, ok := g.answers[key]; ok {
+		return
+	}
+	for len(g.answerOrder) >= maxAnswers || g.answerBytes+len(a.body) > maxAnswerBytes {
+		old := g.answerOrder[0]
+		g.answerBytes -= len(g.answers[old].body)
+		delete(g.answers, old)
+		g.answerOrder = g.answerOrder[1:]
+	}
+	g.answers[key] = a
+	g.answerOrder = append(g.answerOrder, key)
+	g.answerBytes += len(a.body)
+}
+
+// ResultsStats is the /v1/stats results block: how /v1/results/query
+// requests that passed validation were answered.
+type ResultsStats struct {
+	// AnswerHits counts answers served from the answer cache,
+	// AnswerMisses the ones evaluated afresh.
+	AnswerHits   int `json:"answer_hits"`
+	AnswerMisses int `json:"answer_misses"`
+	// Answers counts the answers the cache holds now.
+	Answers int `json:"answers"`
+}
+
+func (g *resultsRegistry) stats() ResultsStats {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return ResultsStats{AnswerHits: g.hits, AnswerMisses: g.misses, Answers: len(g.answers)}
 }
 
 // ResultsQueryRequest is the POST body of /v1/results/query. GET
@@ -328,7 +436,12 @@ func (s *Server) handleResultsQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tables, err := s.results.Tables(req.Sweep)
+	key := answerKey{query: q.String(), format: formatter.Name(), sweep: req.Sweep}
+	if a, ok := s.results.cachedAnswer(key); ok {
+		a.write(w)
+		return
+	}
+	tables, gen, ring, err := s.results.Tables(req.Sweep)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
@@ -338,16 +451,25 @@ func (s *Server) handleResultsQuery(w http.ResponseWriter, r *http.Request) {
 	if len(fields) == 0 {
 		fields = query.DefaultFields
 	}
-	switch formatter.Name() {
-	case "ndjson":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	case "json":
-		w.Header().Set("Content-Type", "application/json")
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	var body bytes.Buffer
+	err = formatter.Format(&body, fields, rows)
+	a := &answer{contentType: contentType(formatter.Name()), body: body.Bytes()}
+	if err == nil && ring {
+		s.results.keepAnswer(key, gen, a)
 	}
-	w.WriteHeader(http.StatusOK)
-	_ = formatter.Format(w, fields, rows)
+	a.write(w)
+}
+
+// contentType is the Content-Type of an answer in the named format.
+func contentType(format string) string {
+	switch format {
+	case "ndjson":
+		return "application/x-ndjson"
+	case "json":
+		return "application/json"
+	default:
+		return "text/plain; charset=utf-8"
+	}
 }
 
 var knownFields = func() map[string]bool {

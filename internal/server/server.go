@@ -371,6 +371,9 @@ type StatsResponse struct {
 	// compute-endpoint overload guard: in-flight/queued gauges and
 	// admitted/shed counters.
 	Admission *AdmissionStats `json:"admission,omitempty"`
+	// Results reports how /v1/results/query answered: from the answer
+	// cache or evaluated afresh.
+	Results ResultsStats `json:"results"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -412,6 +415,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		DefaultOrdering:   defOrd,
 		OrderingFactorNs:  s.sweeps.OrderingFactorNs(),
 		Sweeps:            sweeps,
+		Results:           s.results.stats(),
 	}
 	if s.store != nil {
 		st := s.store.Stats()

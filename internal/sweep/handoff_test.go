@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -181,5 +182,85 @@ func TestRunTransientHandoffCounters(t *testing.T) {
 	report("d")
 	if _, raw := report("a"); string(raw) != string(firstRaw) {
 		t.Fatalf("after a sweep of other keys the report differs from a fresh engine's:\n%s\n%s", raw, firstRaw)
+	}
+}
+
+// TestRunTransientHandoffDirectOnly pins which groups the engine hands
+// on: only direct ones. After a bicgstab-only sweep it remembers no
+// group, and a repeat pays exactly what a fresh engine pays, report
+// byte for byte; in a mixed sweep the direct group still adopts its
+// predecessor's factorizations and assemblies while the bicgstab group
+// again pays a fresh engine's work.
+func TestRunTransientHandoffDirectOnly(t *testing.T) {
+	batch := func(solvers ...string) []jobs.Scenario {
+		var out []jobs.Scenario
+		for _, solver := range solvers {
+			for k, policy := range []string{"LC_FUZZY", "LC_PID", "LC_FUZZY"} {
+				out = append(out, jobs.Scenario{Tiers: 2, Cooling: "liquid", Policy: policy,
+					Workload: "web", Steps: 3, Grid: 6, Solver: solver, Seed: int64(k + 1)})
+			}
+		}
+		return out
+	}
+	run := func(eng *Engine, b []jobs.Scenario) (*Report, []byte) {
+		t.Helper()
+		rep, err := eng.RunTransient(context.Background(), b, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Errors != 0 {
+			t.Fatalf("%d errors", rep.Errors)
+		}
+		raw, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, raw
+	}
+	group := func(rep *Report, solver string) GroupStats {
+		t.Helper()
+		for _, g := range rep.Groups {
+			if strings.Contains(g.Key, "solver="+solver+"|") {
+				return g
+			}
+		}
+		t.Fatalf("no %s group in %+v", solver, rep.Groups)
+		return GroupStats{}
+	}
+
+	iterative := batch("bicgstab")
+	fresh, freshRaw := run(&Engine{Pool: jobs.NewPool(2)}, iterative)
+	if fresh.Prep.Factorizations == 0 || fresh.Batch.Assemblies.Assemblies == 0 {
+		t.Fatalf("fresh bicgstab sweep paid nothing: prep %+v, assemblies %+v", fresh.Prep, fresh.Batch.Assemblies)
+	}
+	eng := &Engine{Pool: jobs.NewPool(2)}
+	run(eng, iterative)
+	if len(eng.last) != 0 {
+		t.Fatalf("after a bicgstab-only sweep the engine remembers %d groups, want none", len(eng.last))
+	}
+	if _, raw := run(eng, iterative); string(raw) != string(freshRaw) {
+		t.Fatalf("repeated bicgstab sweep differs from a fresh engine's:\n%s\n%s", raw, freshRaw)
+	}
+
+	mixed := batch("direct", "bicgstab")
+	first, _ := run(eng, mixed)
+	if len(eng.last) != 1 {
+		t.Fatalf("after a mixed sweep the engine remembers %d groups, want the direct one", len(eng.last))
+	}
+	if _, ok := eng.last[group(first, "direct").Key]; !ok {
+		t.Fatalf("the remembered group is not the direct one: %v", eng.last)
+	}
+	again, _ := run(eng, mixed)
+	if d := group(again, "direct"); d.Prep.Factorizations != 0 || d.Prep.Refactors != 0 || d.Assemblies.Assemblies != 0 {
+		t.Fatalf("repeated direct group paid prep %+v, assemblies %+v; want none", d.Prep, *d.Assemblies)
+	}
+	freshIt, _ := json.Marshal(group(fresh, "bicgstab"))
+	for _, rep := range []*Report{first, again} {
+		if it, _ := json.Marshal(group(rep, "bicgstab")); string(it) != string(freshIt) {
+			t.Fatalf("mixed sweep's bicgstab group paid %s; a fresh engine's pays %s", it, freshIt)
+		}
+	}
+	if string(resultsJSON(t, again.Results)) != string(resultsJSON(t, first.Results)) {
+		t.Fatal("repeated mixed sweep's results differ")
 	}
 }

@@ -8,11 +8,11 @@
 // one shared thermal.AssemblyCache, so an N-point sweep pays for
 // O(distinct matrices) factorizations instead of O(N). Consecutive
 // sweeps on one Engine share too: each group's caches adopt what the
-// same key's group of the engine's last finished sweep prepared, so a
-// sweep that revisits those matrices pays for none of them; the engine
-// keeps that one generation only. A direct group also steps its chunks
-// in lockstep through blocked multi-RHS solves; every other backend
-// steps solo (see Engine.RunTransient).
+// same key's direct group of the engine's last finished sweep
+// prepared, so a sweep that revisits those matrices pays for none of
+// them; the engine keeps that one generation only. A direct group
+// also steps its chunks in lockstep through blocked multi-RHS solves;
+// every other backend steps solo (see Engine.RunTransient).
 //
 // The paper's headline results are exactly such sweeps (flow rates ×
 // workloads × stack configurations under the fuzzy controller), and the
@@ -81,10 +81,11 @@ type Engine struct {
 	// reports — and is surfaced through OrderingFactorNs (the /v1/stats
 	// solver block).
 	factorNs map[string]int64
-	// last holds the group caches of the last transient sweep the
-	// engine finished, by lockstep key: the next sweep's group caches
-	// adopt from them (see RunTransient). Only that one generation is
-	// kept.
+	// last holds the direct groups' caches of the last transient sweep
+	// the engine finished, by lockstep key: the next sweep's group
+	// caches adopt from them (see RunTransient). Only that one
+	// generation is kept, and no iterative group's caches: a sweep of
+	// bicgstab or gmres groups alone leaves last empty.
 	last map[string]groupCaches
 }
 

@@ -38,7 +38,8 @@ type groupCaches struct {
 // caches every chunk of the group plugs into, plus the accumulated
 // batching counters.
 type tgroup struct {
-	key string
+	key    string
+	solver string
 	groupCaches
 	scenarios int
 
@@ -75,10 +76,13 @@ func (e *Engine) chunkWidth(solver string) int {
 // factor cache and one assembly cache. Those caches start empty and,
 // on a miss, adopt the preparations of the same key's group in the last
 // transient sweep this engine finished (mat.NewPrepCacheFrom,
-// thermal.NewAssemblyCacheFrom); when the sweep ends its caches replace
-// that generation, so the engine keeps one finished sweep's
-// preparations at most. The report's prep and assembly counters count
-// the physical work this sweep paid, an adoption counting as a share.
+// thermal.NewAssemblyCacheFrom); when the sweep ends the caches of its
+// direct groups replace that generation, so the engine keeps one
+// finished sweep's direct preparations at most. Only direct groups are
+// handed on: an iterative group warmed that way ran no faster than a
+// fresh one, so its caches would only hold memory. The report's prep
+// and assembly counters count the physical work this sweep paid, an
+// adoption counting as a share.
 // Results are filled through the result cache (batch-aware single-flight
 // fills, so concurrent requests for a scenario join the batch's
 // computation). Per-scenario metrics are byte-identical to a solo
@@ -112,7 +116,7 @@ func (e *Engine) RunTransient(ctx context.Context, scenarios []jobs.Scenario, on
 		g := groups[gk]
 		if g == nil {
 			prev := last[gk]
-			g = &tgroup{key: gk, groupCaches: groupCaches{prep: e.newPrepCache(prev.prep),
+			g = &tgroup{key: gk, solver: p.norm[i].Solver, groupCaches: groupCaches{prep: e.newPrepCache(prev.prep),
 				asm: thermal.NewAssemblyCacheFrom(prev.asm, e.asmEntries())}}
 			groups[gk] = g
 			groupOrder = append(groupOrder, g)
@@ -124,8 +128,7 @@ func (e *Engine) RunTransient(ctx context.Context, scenarios []jobs.Scenario, on
 	var chunks [][]int
 	var chunkGroup []*tgroup
 	for _, g := range groupOrder {
-		idxs := memberOf[g]
-		for _, c := range evenChunks(idxs, e.chunkWidth(p.norm[idxs[0]].Solver)) {
+		for _, c := range evenChunks(memberOf[g], e.chunkWidth(g.solver)) {
 			chunks = append(chunks, c)
 			chunkGroup = append(chunkGroup, g)
 		}
@@ -157,15 +160,17 @@ func (e *Engine) RunTransient(ctx context.Context, scenarios []jobs.Scenario, on
 		e.runChunk(ctx, chunkGroup[ci], chunks[ci], p, emit, cancel)
 		return nil
 	})
-	// Every chunk has returned: hand this sweep's caches to the next
-	// one, replacing the previous generation. A cancelled or failed
-	// sweep hands them on too; adoption takes only completed, error-free
-	// entries.
+	// Every chunk has returned: hand this sweep's direct groups' caches
+	// to the next one, replacing the previous generation. A cancelled
+	// or failed sweep hands them on too; adoption takes only completed,
+	// error-free entries.
 	next := make(map[string]groupCaches, len(groupOrder))
 	for _, g := range groupOrder {
 		g.prep.DropPrevious()
 		g.asm.DropPrevious()
-		next[g.key] = g.groupCaches
+		if g.solver == mat.BackendDirect {
+			next[g.key] = g.groupCaches
+		}
 	}
 	e.mu.Lock()
 	e.last = next

@@ -76,7 +76,7 @@ END {
 
 if [ "$mode" = "snapshot" ]; then
     out="${1:-bench-snapshot.json}"
-    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|CacheHit$|CacheHitFuzzy$|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|TransientSweepPool$|TransientSweepWarm$|SolveBlock$|StorePut$|StoreGet$|StoreReopen$|CacheHitDisk$|FactorAMD|FactorND|SerialRefactor|ResultsQuery$|DisabledPoint$|StudyPool$|ILUApply$}"
+    pattern="${BENCH:-TransientStep|FlowChange|CompactSteady|SteadyDirect|SolverBiCGSTAB|SolverGMRES|SolverGMRESWithRCMILU|CacheHit$|CacheHitFuzzy$|SweepShared|SweepUnshared|TransientSweepBatched|TransientSweepUnbatched|TransientSweepPool$|TransientSweepWarm$|SolveBlock$|StorePut$|StoreGet$|StoreReopen$|CacheHitDisk$|FactorAMD|FactorND|SerialRefactor|ResultsQuery$|ResultsQueryRepeat$|DisabledPoint$|StudyPool$|ILUApply$}"
     count="${BENCH_COUNT:-1}"
     tmp="$(mktemp)"
     trap 'rm -f "$tmp"' EXIT
